@@ -5,7 +5,7 @@ decoherence under photon loss."""
 
 __version__ = "0.1.0"
 
-from .beamsplitter import output_at_time, split_with_vacuum
+from .beamsplitter import output_at_time, split_amplitudes, split_with_vacuum
 from .decoherence import (
     ChannelParams,
     DimensionCapError,
@@ -13,6 +13,7 @@ from .decoherence import (
     negativity_decay_curve,
 )
 from .entanglement import (
+    entanglement_entropies,
     entanglement_entropy,
     log_negativity,
     partial_transpose,
@@ -43,6 +44,7 @@ from .kerr import (
     CoherentSuperposition,
     fractional_revival_superposition,
     kerr_evolve,
+    kerr_phases,
     oracle_fidelity,
     reconstruct_fock,
 )

@@ -6,10 +6,14 @@ weights 2^(-n/2) * C(n, p)^(1/2) * i^(n-p).  The i^(n-p) factor is the pi/2
 phase of the reflected arm; it makes a coherent input come out as the exact
 product |alpha/sqrt(2)>_c |i*alpha/sqrt(2)>_d and, being a local phase on
 mode d, cannot change any entanglement quantity computed downstream.
+
+The whole map is one gather, phi[p, k] = c[p + k] * W[p, k], so a stack of
+input rows (one per evolution time) splits in a single vectorized step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -18,29 +22,52 @@ from scipy.special import gammaln
 from .fock import CutoffPolicy, FockVector, InitialStateSpec, build_initial_state
 from .kerr import kerr_evolve
 
-__all__ = ["output_at_time", "split_with_vacuum"]
+__all__ = ["output_at_time", "split_amplitudes", "split_with_vacuum"]
 
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k for k mod 4
 _LN2 = math.log(2.0)
 
 
-def split_with_vacuum(state: FockVector) -> np.ndarray:
-    """Map c_n |n>|0> through the splitter into phi[p, k], k = n - p.
+@functools.lru_cache(maxsize=2)  # a curve or surface column uses one d at a time
+def _splitter_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and weights of the splitter on levels 0..dim-1.
 
-    Unitary: the Frobenius norm of phi equals the input norm, and the
+    phi[p, k] = c_pad[index[p, k]] * weights[p, k], where c_pad is the input
+    with one zero appended: entries with p + k >= dim point at that zero and
+    carry zero weight.
+    """
+    lgfact = gammaln(np.arange(dim) + 1.0)
+    p, k = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
+    n = p + k
+    sqrt_binom = np.exp(0.5 * (lgfact[n] - lgfact[p] - lgfact[k] - n * _LN2))
+    index = np.full((dim, dim), dim)
+    index[p, k] = n
+    weights = np.zeros((dim, dim), dtype=complex)
+    weights[p, k] = sqrt_binom * _I_POW[k % 4]
+    index.setflags(write=False)
+    weights.setflags(write=False)
+    return index, weights
+
+
+def split_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
+    """Splitter output for amplitude rows of shape (..., d): phi[..., p, k].
+
+    Unitary: each output has the Frobenius norm of its input row, and the
     support stays on the anti-diagonals p + k = n of the input levels.
     """
-    c = state.amplitudes
-    dim = len(c)
-    lgfact = gammaln(np.arange(dim) + 1.0)
-    phi = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim):
-        if c[n] == 0.0:
-            continue
-        p = np.arange(n + 1)
-        sqrt_binom = np.exp(0.5 * (lgfact[n] - lgfact[p] - lgfact[n - p] - n * _LN2))
-        phi[p, n - p] = c[n] * sqrt_binom * _I_POW[(n - p) % 4]
+    c = np.asarray(amplitudes, dtype=complex)
+    dim = c.shape[-1]
+    index, weights = _splitter_gather(dim)
+    padded = np.zeros(c.shape[:-1] + (dim + 1,), dtype=complex)
+    padded[..., :dim] = c
+    phi = padded[..., index]
+    phi *= weights
     return phi
+
+
+def split_with_vacuum(state: FockVector) -> np.ndarray:
+    """Map c_n |n>|0> through the splitter into phi[p, k], k = n - p."""
+    return split_amplitudes(state.amplitudes)
 
 
 def output_at_time(

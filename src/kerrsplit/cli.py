@@ -45,7 +45,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, help="override photon excitation number")
     sub.add_argument("--theta", type=float, help="override coherent phase (radians)")
     sub.add_argument("--tau-steps", type=int, help="override time-grid point count")
-    sub.add_argument("--workers", type=int, help="parallel workers for grid points")
+    sub.add_argument("--workers", type=int,
+                     help="ignored: grid points always run in one process "
+                          "(kept so existing scripts still parse)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     config = config_from_json(args.config) if args.config else ScenarioConfig()
-    return with_overrides(
+    config = with_overrides(
         config,
         nu=args.nu,
         m=args.m,
@@ -85,6 +87,10 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         name=args.name,
         workers=args.workers,
     )
+    if config.workers > 1:
+        print(f"note: workers={config.workers} is ignored; grid points run in one "
+              "process", file=sys.stderr)
+    return config
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -136,7 +142,10 @@ def _cmd_husimi(args) -> int:
     config = _load_config(args)
     husimi = config.husimi
     if args.tau:
-        husimi = replace(husimi, taus=tuple(args.tau))
+        try:
+            husimi = replace(husimi, taus=tuple(args.tau))
+        except ValueError as exc:
+            raise ConfigError(f"husimi (--tau): {exc}") from exc
     if args.resolution:
         husimi = replace(husimi, resolution=args.resolution)
     config = replace(config, husimi=husimi)

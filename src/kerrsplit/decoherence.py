@@ -14,8 +14,7 @@ quantity computed downstream, so they are omitted.  Mode 1 is output mode c,
 mode 2 is mode d.
 
 The sum factorizes per mode, so ``damp`` applies one precomputed transfer
-matrix per mode on the paired row/column index; ``_damp_direct`` keeps the
-literal per-element double p-sum as a slow cross-check.
+matrix per mode on the paired row/column index.
 """
 
 from __future__ import annotations
@@ -104,36 +103,6 @@ def damp(
     paired = t1 @ paired
     paired = paired @ t2.T
     return paired.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-
-
-def _damp_direct(
-    rho: np.ndarray, tau: float, params: ChannelParams = ChannelParams()
-) -> np.ndarray:
-    """Literal double p-sum; O(d^6), for validation on small systems."""
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    lgfact = gammaln(np.arange(d) + 1.0)
-
-    def r_factors(g: float, p: int) -> np.ndarray:
-        m = np.arange(d - p)
-        if g == 0.0:
-            return np.ones((d - p, d - p))  # only reached with p = 0
-        logc = 0.5 * (lgfact[m + p] - lgfact[p] - lgfact[m])
-        loss = p * math.log(-math.expm1(-2.0 * g)) if p > 0 else 0.0
-        return np.exp(logc[:, None] + logc[None, :] + loss - g * (m[:, None] + m[None, :]))
-
-    g1, g2 = params.gamma1 * tau, params.gamma2 * tau
-    p1_max = d if g1 > 0 else 1
-    p2_max = d if g2 > 0 else 1
-    out = np.zeros_like(rho)
-    for p1 in range(p1_max):
-        r1 = r_factors(g1, p1)
-        for p2 in range(p2_max):
-            r2 = r_factors(g2, p2)
-            block = rho[p1:, p2:, p1:, p2:]
-            w = r1[:, None, :, None] * r2[None, :, None, :]
-            out[: d - p1, : d - p2, : d - p1, : d - p2] += w * block
-    return out
 
 
 def negativity_decay_curve(

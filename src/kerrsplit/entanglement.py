@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "entanglement_entropies",
     "entanglement_entropy",
     "log_negativity",
     "partial_transpose",
@@ -28,21 +29,33 @@ _TRACE_NORM_FLOOR = 1e-12
 
 
 def schmidt_spectrum(phi: np.ndarray) -> np.ndarray:
-    """Squared singular values of phi, descending."""
+    """Squared singular values of phi, descending; one row per matrix for a
+    (T, d, d) stack."""
     s = np.linalg.svd(np.asarray(phi, dtype=complex), compute_uv=False)
     return s * s
 
 
 def von_neumann_entropy(lambdas: np.ndarray) -> float:
-    """-sum(lam * log2 lam) over the spectrum, skipping the 0*log(0) limit."""
+    """-sum(lam * log2 lam) over the spectrum, skipping the 0*log(0) limit.
+
+    A rank-1 spectrum whose leading weight rounds to just above 1 would give
+    a roundoff-level negative sum; the result is clipped at 0 (also turning
+    -0.0 into 0.0).
+    """
     lam = np.asarray(lambdas, dtype=float)
     lam = lam[lam > _ENTROPY_FLOOR]
-    return float(-np.sum(lam * np.log2(lam)))
+    return max(0.0, float(-np.sum(lam * np.log2(lam))))
 
 
 def entanglement_entropy(phi: np.ndarray) -> float:
     """Entropy of entanglement (ebits) of a pure two-mode amplitude matrix."""
     return von_neumann_entropy(schmidt_spectrum(phi))
+
+
+def entanglement_entropies(phis: np.ndarray) -> np.ndarray:
+    """``entanglement_entropy`` of each matrix in a (T, d, d) stack, from one
+    batched SVD."""
+    return np.array([von_neumann_entropy(lam) for lam in schmidt_spectrum(phis)])
 
 
 def pure_to_density(phi: np.ndarray) -> np.ndarray:

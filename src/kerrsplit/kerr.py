@@ -30,21 +30,28 @@ __all__ = [
     "CoherentSuperposition",
     "fractional_revival_superposition",
     "kerr_evolve",
+    "kerr_phases",
     "oracle_fidelity",
     "reconstruct_fock",
 ]
 
 
-def kerr_evolve(state: FockVector, tau: float) -> FockVector:
-    """Multiply amplitude n by exp(-i*pi*tau*n*(n-1)).
+def kerr_phases(dim: int, taus) -> np.ndarray:
+    """Phases exp(-i*pi*tau*n*(n-1)) of levels n = 0..dim-1.
 
-    The exponent is reduced mod 2 before the complex exponential so that
-    integer tau (full revivals, where n*(n-1) is always even) returns the
-    input amplitudes exactly.
+    A scalar tau gives shape (dim,); an array of T times gives one row per
+    time, shape (T, dim).  The exponent is reduced mod 2 before the complex
+    exponential so that integer tau (full revivals, where n*(n-1) is always
+    even) gives phases of exactly 1.
     """
-    n = np.arange(len(state.amplitudes), dtype=float)
-    cycles = np.mod(n * (n - 1.0) * tau, 2.0)
-    return FockVector(state.amplitudes * np.exp(-1j * math.pi * cycles))
+    n = np.arange(dim, dtype=float)
+    cycles = np.mod(n * (n - 1.0) * np.asarray(taus, dtype=float)[..., None], 2.0)
+    return np.exp(-1j * math.pi * cycles)
+
+
+def kerr_evolve(state: FockVector, tau: float) -> FockVector:
+    """Multiply amplitude n by exp(-i*pi*tau*n*(n-1)); see ``kerr_phases``."""
+    return FockVector(state.amplitudes * kerr_phases(len(state.amplitudes), tau))
 
 
 @dataclass(frozen=True)

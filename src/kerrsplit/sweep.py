@@ -3,15 +3,17 @@ and decoherence scans, with CSV/JSON emission.
 
 Scenarios are plain JSON documents.  Every pipeline stage is deterministic
 (there is no randomness anywhere), so identical configs produce byte-identical
-CSV files, and parallel execution over grid points returns exactly the serial
-results in the same order.
+CSV files.
+
+Pure-state curves run as batches: the cutoff and the initial state are built
+once per curve (once per nu column of a surface), and the Kerr phases, the
+splitter and the Schmidt SVDs run on blocks of tau values at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -20,9 +22,9 @@ import numpy as np
 
 from . import __version__
 
-from .beamsplitter import output_at_time
-from .decoherence import ChannelParams, damp
-from .entanglement import entanglement_entropy, log_negativity, pure_to_density
+from .beamsplitter import output_at_time, split_amplitudes
+from .decoherence import ChannelParams, negativity_decay_curve
+from .entanglement import entanglement_entropies
 from .fock import CutoffPolicy, InitialStateSpec, build_initial_state, choose_cutoff
 from .husimi import (
     count_peaks,
@@ -31,7 +33,7 @@ from .husimi import (
     write_grid_csv,
     write_grid_matrix,
 )
-from .kerr import kerr_evolve
+from .kerr import kerr_evolve, kerr_phases
 
 __all__ = [
     "ConfigError",
@@ -48,6 +50,10 @@ __all__ = [
 
 # prune entropy local minima shallower than this (ebits)
 MINIMUM_PROMINENCE = 0.05
+
+# Two-mode amplitudes per batched block of tau values, in bytes.  Larger
+# blocks run no faster and raise the peak memory of a curve.
+_BLOCK_BYTES = 1 << 18
 
 
 class ConfigError(ValueError):
@@ -83,6 +89,13 @@ class HusimiSection:
     half_width: float | None = None
     rel_threshold: float = 0.1
 
+    def __post_init__(self):
+        for tau in self.taus:
+            if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+                raise ValueError(f"taus: expected numbers, got {tau!r}")
+            if not math.isfinite(tau):
+                raise ValueError(f"taus: values must be finite, got {tau!r}")
+
 
 @dataclass(frozen=True)
 class ChannelSection:
@@ -108,7 +121,7 @@ class ScenarioConfig:
     cutoff: CutoffPolicy = CutoffPolicy()
     outputs: tuple = ()
     q_max: int = 12
-    workers: int = 1
+    workers: int = 1  # accepted so older configs parse; has no effect
     dim_cap: int = 4096
 
 
@@ -179,6 +192,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     if "husimi" in raw:
         section = dict(raw["husimi"]) if isinstance(raw["husimi"], dict) else raw["husimi"]
         if isinstance(section, dict) and "taus" in section:
+            if not isinstance(section["taus"], (list, tuple)):
+                raise ConfigError("husimi: taus: expected a list of numbers")
             section["taus"] = tuple(section["taus"])
         kwargs["husimi"] = _parse_section("husimi", section, HusimiSection)
     if raw.get("channel") is not None:
@@ -219,32 +234,21 @@ def config_from_json(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# grid-point workers (module level so process pools can pickle them)
+# batched pure-state pipeline
 
-def _entropy_task(args) -> float:
-    nu, theta, m, tau, tail_tol, safety_margin = args
-    policy = CutoffPolicy(tail_tol=tail_tol, safety_margin=safety_margin)
-    spec = InitialStateSpec(nu=nu, theta=theta, m=m)
-    return entanglement_entropy(output_at_time(spec, tau, policy=policy))
-
-
-def _negativity_task(args) -> float:
-    nu, theta, m, revival_tau, gamma_tau, gamma1, gamma2, tail_tol, margin, dim_cap = args
-    policy = CutoffPolicy(tail_tol=tail_tol, safety_margin=margin)
-    spec = InitialStateSpec(nu=nu, theta=theta, m=m)
-    phi = output_at_time(spec, revival_tau, policy=policy)
-    params = ChannelParams(gamma1=gamma1, gamma2=gamma2)
-    tau = gamma_tau / gamma1 if gamma_tau > 0 else 0.0
-    rho = damp(pure_to_density(phi), tau, params, dim_cap)
-    return log_negativity(rho)
-
-
-def _map_points(fn, tasks, workers: int) -> list:
-    if workers <= 1 or len(tasks) < 2:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
+                    policy: CutoffPolicy) -> np.ndarray:
+    """Entanglement entropy at every tau for one initial state, equal to
+    entanglement_entropy(output_at_time(spec, tau, n_cut, policy)) point by
+    point, with the state built once and the rest run in bounded blocks."""
+    amplitudes = build_initial_state(spec, n_cut=n_cut, policy=policy).amplitudes
+    d = n_cut + 1
+    block = max(1, _BLOCK_BYTES // (16 * d * d))
+    out = np.empty(len(taus))
+    for start in range(0, len(taus), block):
+        rows = amplitudes * kerr_phases(d, taus[start:start + block])
+        out[start:start + block] = entanglement_entropies(split_amplitudes(rows))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +321,8 @@ def run_entropy_curve(config: ScenarioConfig) -> list[CurveRecord]:
     init = config.initial
     n_cut = choose_cutoff(init.nu, init.m, config.cutoff)
     taus = config.time_grid.values()
-    tasks = [
-        (init.nu, init.theta, init.m, float(t), config.cutoff.tail_tol,
-         config.cutoff.safety_margin)
-        for t in taus
-    ]
-    entropies = _map_points(_entropy_task, tasks, config.workers)
-    minima = set(_prominent_minima(np.asarray(entropies)))
+    entropies = _entropy_column(init, taus, n_cut, config.cutoff)
+    minima = set(_prominent_minima(entropies))
 
     records = []
     for i, (tau, ent) in enumerate(zip(taus, entropies)):
@@ -372,20 +371,19 @@ def run_entropy_surface(config: ScenarioConfig) -> list[CurveRecord]:
         raise ConfigError("nu_grid: required for an entropy surface")
     init = config.initial
     taus = config.time_grid.values()
-    nus = config.nu_grid.values()
-    tasks = [
-        (float(nu), init.theta, init.m, float(tau), config.cutoff.tail_tol,
-         config.cutoff.safety_margin)
-        for tau in taus
-        for nu in nus
+    nus = [float(nu) for nu in config.nu_grid.values()]
+    n_cuts = [choose_cutoff(nu, init.m, config.cutoff) for nu in nus]
+    columns = [
+        _entropy_column(replace(init, nu=nu), taus, n_cut, config.cutoff)
+        for nu, n_cut in zip(nus, n_cuts)
     ]
-    entropies = _map_points(_entropy_task, tasks, config.workers)
-    n_cuts = {float(nu): choose_cutoff(float(nu), init.m, config.cutoff) for nu in nus}
 
     records = []
-    for (nu, _theta, m, tau, _tol, _margin), ent in zip(tasks, entropies):
-        meta = {"nu": nu, "m": m, "theta": init.theta, "n_cut": n_cuts[nu]}
-        records.append(CurveRecord("tau", tau, "entropy_ebits", float(ent), meta))
+    for i, tau in enumerate(taus):
+        for nu, n_cut, column in zip(nus, n_cuts, columns):
+            meta = {"nu": nu, "m": init.m, "theta": init.theta, "n_cut": n_cut}
+            records.append(CurveRecord("tau", float(tau), "entropy_ebits",
+                                       float(column[i]), meta))
     return records
 
 
@@ -403,48 +401,32 @@ def run_decoherence_scan(config: ScenarioConfig) -> list[CurveRecord]:
         raise ConfigError("channel.gamma1: must be > 0 for a decoherence scan")
     init = config.initial
     m_values = chan.m_values if chan.m_values else (init.m,)
+    if chan.gamma_tau_grid is not None:
+        nus = [init.nu]
+    elif config.nu_grid is not None:
+        nus = [float(nu) for nu in config.nu_grid.values()]
+    else:
+        raise ConfigError("channel: need gamma_tau_grid, or nu_grid plus a fixed gamma_tau")
+    states = [(nu, m, _cap_check(nu, m, config.cutoff, config.dim_cap))
+              for m in m_values for nu in nus]
+    params = ChannelParams(gamma1=chan.gamma1, gamma2=chan.gamma2)
 
     records = []
-    if chan.gamma_tau_grid is not None:
-        gamma_taus = chan.gamma_tau_grid.values()
-        for m in m_values:
-            n_cut = _cap_check(init.nu, m, config.cutoff, config.dim_cap)
-            tasks = [
-                (init.nu, init.theta, m, chan.tau, float(g), chan.gamma1, chan.gamma2,
-                 config.cutoff.tail_tol, config.cutoff.safety_margin, config.dim_cap)
-                for g in gamma_taus
-            ]
-            values = _map_points(_negativity_task, tasks, config.workers)
-            for g, en in zip(gamma_taus, values):
-                meta = {"nu": init.nu, "m": m, "theta": init.theta, "n_cut": n_cut,
-                        "revival_tau": chan.tau}
-                records.append(
-                    CurveRecord("gamma_tau", float(g), "log_negativity", float(en), meta)
-                )
-        return records
-
-    if config.nu_grid is not None:
-        nus = config.nu_grid.values()
-        for m in m_values:
-            for nu in nus:
-                _cap_check(float(nu), m, config.cutoff, config.dim_cap)
-            tasks = [
-                (float(nu), init.theta, m, chan.tau, chan.gamma_tau, chan.gamma1,
-                 chan.gamma2, config.cutoff.tail_tol, config.cutoff.safety_margin,
-                 config.dim_cap)
-                for nu in nus
-            ]
-            values = _map_points(_negativity_task, tasks, config.workers)
-            for nu, en in zip(nus, values):
-                n_cut = choose_cutoff(float(nu), m, config.cutoff)
-                meta = {"nu": float(nu), "m": m, "theta": init.theta, "n_cut": n_cut,
-                        "revival_tau": chan.tau, "gamma_tau": chan.gamma_tau}
-                records.append(
-                    CurveRecord("nu", float(nu), "log_negativity", float(en), meta)
-                )
-        return records
-
-    raise ConfigError("channel: need gamma_tau_grid, or nu_grid plus a fixed gamma_tau")
+    for nu, m, n_cut in states:
+        phi = output_at_time(replace(init, nu=nu, m=m), chan.tau, n_cut=n_cut,
+                             policy=config.cutoff)
+        meta = {"nu": nu, "m": m, "theta": init.theta, "n_cut": n_cut,
+                "revival_tau": chan.tau}
+        if chan.gamma_tau_grid is not None:
+            curve = negativity_decay_curve(phi, chan.gamma_tau_grid.values(), params,
+                                           config.dim_cap)
+            records.extend(CurveRecord("gamma_tau", g, "log_negativity", float(en), dict(meta))
+                           for g, en in curve)
+        else:
+            ((_, en),) = negativity_decay_curve(phi, [chan.gamma_tau], params, config.dim_cap)
+            meta["gamma_tau"] = chan.gamma_tau
+            records.append(CurveRecord("nu", nu, "log_negativity", float(en), meta))
+    return records
 
 
 def run_husimi(config: ScenarioConfig, out_dir) -> dict:
@@ -541,7 +523,7 @@ def write_records_csv(path, records: list[CurveRecord], extra_columns=(),
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

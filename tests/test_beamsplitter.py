@@ -3,7 +3,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from kerrsplit.beamsplitter import output_at_time, split_with_vacuum
+from kerrsplit.beamsplitter import output_at_time, split_amplitudes, split_with_vacuum
 from kerrsplit.entanglement import entanglement_entropy
 from kerrsplit.fock import (
     FockVector,
@@ -128,3 +128,19 @@ def test_output_at_time_rank_one_at_t0():
 def test_output_respects_requested_cutoff():
     phi = output_at_time(InitialStateSpec(nu=1.0), 0.5, n_cut=25)
     assert phi.shape == (26, 26)
+
+
+def test_splitter_is_an_isometry_on_the_truncated_space():
+    # row n is the output of |n>|0>; distinct inputs stay orthonormal
+    d = 16
+    outputs = split_amplitudes(np.eye(d)).reshape(d, d * d)
+    assert np.max(np.abs(outputs.conj() @ outputs.T - np.eye(d))) < 1e-14
+
+
+def test_stacked_rows_split_exactly_like_single_states():
+    rng = np.random.default_rng(12)
+    amps = rng.normal(size=(7, 10)) + 1j * rng.normal(size=(7, 10))
+    stack = split_amplitudes(amps)
+    assert stack.shape == (7, 10, 10)
+    for row, phi in zip(amps, stack):
+        assert np.array_equal(phi, split_with_vacuum(FockVector(row)))

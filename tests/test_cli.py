@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kerrsplit.cli import main
 
 
@@ -102,3 +104,32 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "scenario_entropy-curve.csv").exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "abc", float("nan"), float("inf")])
+def test_husimi_rejects_non_finite_or_non_numeric_tau(tmp_path, capsys, tau):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "h", "husimi": {"taus": [tau], "resolution": 21}}))
+    assert run_cli(["husimi", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert "husimi" in capsys.readouterr().err
+    assert not (tmp_path / "h_husimi.json").exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_husimi_rejects_non_finite_tau_flag(tmp_path, capsys, tau):
+    assert run_cli(["husimi", "--tau", tau, "--name", "h", "--out-dir", tmp_path]) == 1
+    assert "husimi" in capsys.readouterr().err
+    assert not (tmp_path / "h_husimi.json").exists()
+
+
+def test_workers_is_ignored_with_one_note(tmp_path, capsys):
+    args = ["entropy", "--nu", "2", "--tau-steps", "21", "--name", "w"]
+    assert run_cli(args + ["--out-dir", tmp_path / "one"]) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli(args + ["--workers", "3", "--out-dir", tmp_path / "three"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "workers=3" in err and "ignored" in err
+    for suffix in ("csv", "json"):
+        name = f"w_entropy-curve.{suffix}"
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()

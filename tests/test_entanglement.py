@@ -167,3 +167,18 @@ def test_partial_transpose_rejects_unknown_mode():
 def test_pure_to_density_rejects_non_square():
     with pytest.raises(ValueError):
         pure_to_density(np.zeros((2, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_entropy_is_never_negative_at_revivals(m, tau):
+    entropy = entanglement_entropy(output_at_time(InitialStateSpec(nu=5.0, m=m), tau))
+    assert entropy >= 0.0
+    assert math.copysign(1.0, entropy) == 1.0  # no -0.0 either
+    if m == 0:
+        assert entropy == 0.0  # rank one up to roundoff
+
+
+def test_entropy_of_rounded_rank_one_spectrum_is_zero():
+    # a leading weight just above 1 would give -6.4e-16 unclipped
+    assert von_neumann_entropy(np.array([1.0 + 4.4e-16, 1e-20])) == 0.0

@@ -16,6 +16,7 @@ from kerrsplit.kerr import (
     CoherentSuperposition,
     fractional_revival_superposition,
     kerr_evolve,
+    kerr_phases,
     oracle_fidelity,
     reconstruct_fock,
 )
@@ -141,3 +142,12 @@ def test_direct_equals_oracle_statewise():
 def test_superposition_validation():
     with pytest.raises(ValueError):
         CoherentSuperposition(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+def test_phase_rows_match_single_times():
+    taus = np.linspace(-0.7, 2.3, 9)
+    rows = kerr_phases(30, taus)
+    assert rows.shape == (9, 30)
+    for tau, row in zip(taus, rows):
+        assert np.array_equal(row, kerr_phases(30, tau))
+    assert np.array_equal(kerr_phases(30, [1.0, 2.0]), np.ones((2, 30)))

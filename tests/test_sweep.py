@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kerrsplit.entanglement import pure_state_log_negativity
+from kerrsplit import fock, sweep
+from kerrsplit.entanglement import entanglement_entropy, pure_state_log_negativity
 from kerrsplit.beamsplitter import output_at_time
-from kerrsplit.fock import InitialStateSpec
+from kerrsplit.fock import InitialStateSpec, choose_cutoff
 from kerrsplit.sweep import (
+    _BLOCK_BYTES,
     ChannelSection,
     ConfigError,
     GridSpec,
@@ -24,6 +27,7 @@ from kerrsplit.sweep import (
     run_husimi,
     scenario_metadata,
     with_overrides,
+    write_json,
     write_records_csv,
 )
 
@@ -76,6 +80,12 @@ def test_config_from_dict_roundtrip():
         ({"workers": 0}, "workers"),
         ({"name": ""}, "name"),
         ({"cutoff": {"tail_tol": 2.0}}, "cutoff"),
+        ({"husimi": {"taus": [float("nan")]}}, "husimi"),
+        ({"husimi": {"taus": [0.5, float("inf")]}}, "husimi"),
+        ({"husimi": {"taus": ["abc"]}}, "husimi"),
+        ({"husimi": {"taus": ["0.5"]}}, "husimi"),
+        ({"husimi": {"taus": [True]}}, "husimi"),
+        ({"husimi": {"taus": 0.5}}, "husimi"),
     ],
 )
 def test_config_errors_name_the_field(raw, needle):
@@ -271,6 +281,77 @@ def test_run_husimi_requires_taus(tmp_path):
         run_husimi(small_config(), tmp_path)
 
 
+# ---------------------------------------------------------------- batching
+
+def block_rows(nu, m):
+    d = choose_cutoff(nu, m) + 1
+    return max(1, _BLOCK_BYTES // (16 * d * d))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nu=st.floats(0.0, 25.0),
+    m=st.integers(0, 6),
+    start=st.floats(-2.0, 2.0),
+    stop=st.floats(-2.0, 2.0),
+    length=st.sampled_from(["one", "below", "at", "above", "across"]),
+)
+def test_batched_curve_equals_pointwise_pipeline(nu, m, start, stop, length):
+    block = block_rows(nu, m)
+    steps = {"one": 1, "below": max(1, block - 1), "at": block, "above": block + 1,
+             "across": 2 * block + 1}[length]
+    spec = InitialStateSpec(nu=nu, m=m)
+    records = run_entropy_curve(small_config(initial=spec,
+                                             time_grid=GridSpec(start, stop, steps)))
+    assert len(records) == steps
+    for rec in records:
+        assert rec.ordinate == entanglement_entropy(output_at_time(spec, rec.abscissa))
+
+
+def test_surface_columns_equal_pointwise_pipeline():
+    cfg = small_config(initial=InitialStateSpec(nu=1.0, m=2),
+                       time_grid=GridSpec(0.0, 1.0, 7), nu_grid=GridSpec(0.5, 3.0, 3))
+    for rec in run_entropy_surface(cfg):
+        spec = InitialStateSpec(nu=rec.metadata["nu"], m=2)
+        assert rec.ordinate == entanglement_entropy(output_at_time(spec, rec.abscissa))
+
+
+def test_cutoff_runs_once_per_curve_and_per_nu_column(monkeypatch):
+    calls = []
+    real = fock.choose_cutoff
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "choose_cutoff", counting)
+    monkeypatch.setattr(sweep, "choose_cutoff", counting)
+    run_entropy_curve(small_config(time_grid=GridSpec(0.0, 1.0, 300)))
+    assert len(calls) == 1
+    calls.clear()
+    run_entropy_surface(small_config(time_grid=GridSpec(0.0, 1.0, 50),
+                                     nu_grid=GridSpec(1.0, 4.0, 4)))
+    assert len(calls) == 4
+
+
+def test_blocks_bound_the_amplitude_stack(monkeypatch):
+    shapes = []
+    real = sweep.split_amplitudes
+
+    def recording(rows):
+        out = real(rows)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(sweep, "split_amplitudes", recording)
+    cfg = small_config(initial=InitialStateSpec(nu=20.0), time_grid=GridSpec(0.0, 1.0, 50))
+    run_entropy_curve(cfg)
+    d = choose_cutoff(20.0, 0) + 1
+    assert sum(shape[0] for shape in shapes) == 50
+    assert all(shape[1:] == (d, d) for shape in shapes)
+    assert max(shape[0] for shape in shapes) * 16 * d * d <= _BLOCK_BYTES
+
+
 # ---------------------------------------------------------------- output
 
 def test_csv_is_deterministic(tmp_path):
@@ -308,3 +389,8 @@ def test_parallel_matches_serial():
     parallel = run_entropy_curve(small_config(time_grid=GridSpec(0.0, 0.5, 8), workers=2))
     assert [r.ordinate for r in serial] == [r.ordinate for r in parallel]
     assert [r.metadata for r in serial] == [r.metadata for r in parallel]
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "x.json", {"value": float("nan")})
