@@ -6,12 +6,7 @@ decoherence under photon loss."""
 __version__ = "0.1.0"
 
 from .beamsplitter import output_at_time, split_amplitudes, split_with_vacuum
-from .decoherence import (
-    ChannelParams,
-    DimensionCapError,
-    damp,
-    negativity_decay_curve,
-)
+from .decoherence import ChannelParams, damp, negativity_decay_curve
 from .entanglement import (
     entanglement_entropies,
     entanglement_entropy,

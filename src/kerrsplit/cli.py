@@ -3,8 +3,8 @@
 Subcommands: ``entropy``, ``surface``, ``husimi``, ``decohere`` and
 ``oracle-check``.  Each takes an optional ``--config`` JSON scenario plus a
 few per-field overrides, and writes CSV/JSON artifacts under ``--out-dir``.
-Exit codes: 0 success, 1 invalid configuration, 2 numerically infeasible
-scenario (dimension cap).
+Exit codes: 0 success, 1 invalid configuration or command line,
+2 numerically infeasible scenario (dimension cap).
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .decoherence import DimensionCapError
 from .kerr import oracle_fidelity
 from .sweep import (
     ChannelSection,
     ConfigError,
     InfeasibleScenarioError,
     ScenarioConfig,
+    config_errors,
     config_from_json,
     entropy_curve_summary,
     run_decoherence_scan,
@@ -45,13 +45,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, help="override photon excitation number")
     sub.add_argument("--theta", type=float, help="override coherent phase (radians)")
     sub.add_argument("--tau-steps", type=int, help="override time-grid point count")
-    sub.add_argument("--workers", type=int,
-                     help="ignored: grid points always run in one process "
-                          "(kept so existing scripts still parse)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors exit 1 like config errors; argparse's own code, 2,
+    means an infeasible scenario here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"config error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kerrsplit",
         description="Kerr-plus-beam-splitter entanglement sweeps (CSV/JSON output)",
     )
@@ -78,19 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     config = config_from_json(args.config) if args.config else ScenarioConfig()
-    config = with_overrides(
-        config,
-        nu=args.nu,
-        m=args.m,
-        theta=args.theta,
-        tau_steps=getattr(args, "tau_steps", None),
-        name=args.name,
-        workers=args.workers,
-    )
-    if config.workers > 1:
-        print(f"note: workers={config.workers} is ignored; grid points run in one "
-              "process", file=sys.stderr)
-    return config
+    return with_overrides(config, nu=args.nu, m=args.m, theta=args.theta,
+                          tau_steps=args.tau_steps, name=args.name)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -116,8 +111,6 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_surface(args) -> int:
     config = _load_config(args)
-    if config.nu_grid is None:
-        raise ConfigError("nu_grid: required for the surface command")
     records = run_entropy_surface(config)
     out = _out_dir(args)
     csv_path = out / f"{config.name}_entropy-surface.csv"
@@ -140,15 +133,13 @@ def _cmd_surface(args) -> int:
 
 def _cmd_husimi(args) -> int:
     config = _load_config(args)
-    husimi = config.husimi
+    changes = {}
     if args.tau:
-        try:
-            husimi = replace(husimi, taus=tuple(args.tau))
-        except ValueError as exc:
-            raise ConfigError(f"husimi (--tau): {exc}") from exc
-    if args.resolution:
-        husimi = replace(husimi, resolution=args.resolution)
-    config = replace(config, husimi=husimi)
+        changes["taus"] = tuple(args.tau)
+    if args.resolution is not None:
+        changes["resolution"] = args.resolution
+    with config_errors("husimi"):
+        config = replace(config, husimi=replace(config.husimi, **changes))
     out = _out_dir(args)
     summary = run_husimi(config, out)
     json_path = out / f"{config.name}_husimi.json"
@@ -218,7 +209,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DimensionCapError, InfeasibleScenarioError) as exc:
+    except InfeasibleScenarioError as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return 2
 

@@ -26,20 +26,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .entanglement import log_negativity, pure_to_density
+from .fock import DEFAULT_DIM_CAP, check_dim_cap
 
 __all__ = [
     "ChannelParams",
-    "DimensionCapError",
     "damp",
     "negativity_decay_curve",
 ]
-
-DEFAULT_DIM_CAP = 4096  # refuse density matrices larger than cap x cap
-
-
-class DimensionCapError(RuntimeError):
-    """Two-mode density matrix would exceed the configured dimension cap."""
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -92,11 +85,7 @@ def damp(
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     d = rho.shape[0]
-    if d * d > dim_cap:
-        raise DimensionCapError(
-            f"two-mode dimension {d}^2 = {d * d} exceeds cap {dim_cap}; "
-            "lower the cutoff or raise dim_cap"
-        )
+    check_dim_cap(d * d, dim_cap, "two-mode density matrix")
     t1 = _mode_transfer(d, params.gamma1 * tau)
     t2 = t1 if params.gamma2 == params.gamma1 else _mode_transfer(d, params.gamma2 * tau)
     paired = rho.transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(m1,n1), (m2,n2)]
@@ -118,11 +107,7 @@ def negativity_decay_curve(
     infeasible inputs fail fast.
     """
     phi = np.asarray(phi, dtype=complex)
-    d = phi.shape[0]
-    if d * d > dim_cap:
-        raise DimensionCapError(
-            f"two-mode dimension {d}^2 = {d * d} exceeds cap {dim_cap}"
-        )
+    check_dim_cap(phi.shape[0] ** 2, dim_cap, "two-mode density matrix")
     gamma_tau_values = [float(g) for g in gamma_tau_values]
     if any(g > 0 for g in gamma_tau_values) and params.gamma1 <= 0:
         raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")

@@ -10,15 +10,19 @@ are handled in log space so levels around n = 100 stay finite.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
+    "DEFAULT_DIM_CAP",
     "CutoffPolicy",
     "CutoffTooSmallError",
     "FockVector",
+    "InfeasibleScenarioError",
     "InitialStateSpec",
     "build_initial_state",
     "choose_cutoff",
@@ -29,8 +33,42 @@ __all__ = [
 ]
 
 
+DEFAULT_DIM_CAP = 4096  # largest side of a square matrix a pipeline may build
+
+
 class CutoffTooSmallError(ValueError):
     """The requested Fock cutoff drops more tail mass than the policy allows."""
+
+
+class InfeasibleScenarioError(RuntimeError):
+    """A scenario needs a matrix beyond the dimension cap."""
+
+
+def check_dim_cap(side: int, dim_cap: int, what: str) -> None:
+    """Refuse, before any work, a ``side`` x ``side`` matrix over the cap."""
+    if side > dim_cap:
+        raise InfeasibleScenarioError(
+            f"{what} needs a {side} x {side} matrix, over dim_cap {dim_cap}"
+        )
+
+
+def check_real(name: str, value) -> float:
+    """``value`` if it is a finite real number (not a bool); TypeError or
+    ValueError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints too big for a float
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` if it is an integer (not a bool or float) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,10 +79,9 @@ class CutoffPolicy:
     safety_margin: int = 5
 
     def __post_init__(self):
-        if not 0.0 < self.tail_tol < 1.0:
+        if not 0.0 < check_real("tail_tol", self.tail_tol) < 1.0:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
-        if self.safety_margin < 0:
-            raise ValueError(f"safety_margin must be >= 0, got {self.safety_margin!r}")
+        check_int("safety_margin", self.safety_margin, 0)
 
 
 @dataclass(frozen=True)
@@ -61,10 +98,10 @@ class InitialStateSpec:
     m: int = 0
 
     def __post_init__(self):
-        if not self.nu >= 0.0:
+        if check_real("nu", self.nu) < 0.0:
             raise ValueError(f"nu must be >= 0, got {self.nu!r}")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError(f"m must be a non-negative integer, got {self.m!r}")
+        check_real("theta", self.theta)
+        check_int("m", self.m, 0)
 
     @property
     def alpha(self) -> complex:

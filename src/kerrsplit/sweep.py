@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,17 @@ from . import __version__
 from .beamsplitter import output_at_time, split_amplitudes
 from .decoherence import ChannelParams, negativity_decay_curve
 from .entanglement import entanglement_entropies
-from .fock import CutoffPolicy, InitialStateSpec, build_initial_state, choose_cutoff
+from .fock import (
+    DEFAULT_DIM_CAP,
+    CutoffPolicy,
+    InfeasibleScenarioError,
+    InitialStateSpec,
+    build_initial_state,
+    check_dim_cap,
+    check_int,
+    check_real,
+    choose_cutoff,
+)
 from .husimi import (
     count_peaks,
     husimi_q,
@@ -60,8 +71,26 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; the message names the offending field."""
 
 
-class InfeasibleScenarioError(RuntimeError):
-    """A requested state needs a density matrix beyond the dimension cap."""
+@contextmanager
+def config_errors(field_name: str):
+    """Re-raise a TypeError or ValueError from building ``field_name`` as a
+    ConfigError naming it."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field_name}: {exc}") from exc
+
+
+def _check_type(name: str, value, cls, optional: bool = False):
+    if not (isinstance(value, cls) or (optional and value is None)):
+        raise TypeError(f"{name} must be of type {cls.__name__}, got {value!r}")
+
+
+def _as_tuple(name: str, value) -> tuple:
+    """A JSON list (or a tuple) as a tuple; anything else is a TypeError."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -73,10 +102,9 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("grid endpoints must be finite")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        check_real("start", self.start)
+        check_real("stop", self.stop)
+        check_int("steps", self.steps, 1)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -90,17 +118,21 @@ class HusimiSection:
     rel_threshold: float = 0.1
 
     def __post_init__(self):
+        object.__setattr__(self, "taus", _as_tuple("taus", self.taus))
         for tau in self.taus:
-            if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-                raise ValueError(f"taus: expected numbers, got {tau!r}")
-            if not math.isfinite(tau):
-                raise ValueError(f"taus: values must be finite, got {tau!r}")
+            check_real("taus", tau)
+        check_int("resolution", self.resolution, 2)
+        if self.half_width is not None and check_real("half_width", self.half_width) <= 0:
+            raise ValueError(f"half_width must be > 0, got {self.half_width!r}")
+        if not 0.0 < check_real("rel_threshold", self.rel_threshold) < 1.0:
+            raise ValueError(f"rel_threshold must lie in (0, 1), got {self.rel_threshold!r}")
 
 
 @dataclass(frozen=True)
 class ChannelSection:
     """Loss-channel part of a scenario: rates, the gamma*tau axis, the revival
-    fraction feeding the splitter, and which photon-addition numbers to scan."""
+    fraction feeding the splitter, and which photon-addition numbers to scan
+    (``gamma_tau_grid`` may also be a dict of GridSpec fields)."""
 
     gamma1: float = 0.1
     gamma2: float = 0.1
@@ -108,6 +140,30 @@ class ChannelSection:
     gamma_tau: float = 0.3
     tau: float = 0.5
     m_values: tuple = ()
+
+    def __post_init__(self):
+        for name in ("gamma1", "gamma2", "gamma_tau"):
+            if check_real(name, getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        check_real("tau", self.tau)
+        if isinstance(self.gamma_tau_grid, dict):
+            with config_errors("gamma_tau_grid"):
+                object.__setattr__(self, "gamma_tau_grid", GridSpec(**self.gamma_tau_grid))
+        _check_type("gamma_tau_grid", self.gamma_tau_grid, GridSpec, optional=True)
+        object.__setattr__(self, "m_values", _as_tuple("m_values", self.m_values))
+        for m in self.m_values:
+            check_int("m_values", m, 0)
+
+
+# Config fields that hold a section, built from a JSON object by its class.
+_SECTIONS = {
+    "initial": InitialStateSpec,
+    "time_grid": GridSpec,
+    "nu_grid": GridSpec,
+    "husimi": HusimiSection,
+    "channel": ChannelSection,
+    "cutoff": CutoffPolicy,
+}
 
 
 @dataclass(frozen=True)
@@ -119,10 +175,18 @@ class ScenarioConfig:
     husimi: HusimiSection = HusimiSection()
     channel: ChannelSection | None = None
     cutoff: CutoffPolicy = CutoffPolicy()
-    outputs: tuple = ()
     q_max: int = 12
-    workers: int = 1  # accepted so older configs parse; has no effect
-    dim_cap: int = 4096
+    dim_cap: int = DEFAULT_DIM_CAP
+
+    def __post_init__(self):
+        _check_type("name", self.name, str)
+        if not self.name:
+            raise ValueError("name must be a non-empty string")
+        for name, cls in _SECTIONS.items():
+            _check_type(name, getattr(self, name), cls,
+                        optional=name in ("nu_grid", "channel"))
+        check_int("q_max", self.q_max, 1)
+        check_int("dim_cap", self.dim_cap, 1)
 
 
 @dataclass(frozen=True)
@@ -136,90 +200,22 @@ class CurveRecord:
     metadata: dict = field(default_factory=dict)
 
 
-_KNOWN_OUTPUTS = (
-    "entropy-curve",
-    "entropy-surface",
-    "husimi-grid",
-    "negativity-vs-gammatau",
-    "negativity-vs-nu",
-)
-
-
-def _parse_section(field_name, raw, builder):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{field_name}: expected an object, got {type(raw).__name__}")
-    try:
-        return builder(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"{field_name}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{field_name}: {exc}") from exc
-
-
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig; unknown or malformed fields raise
     ConfigError naming the field."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object at top level")
-    known = {
-        "name",
-        "initial",
-        "time_grid",
-        "nu_grid",
-        "husimi",
-        "channel",
-        "cutoff",
-        "outputs",
-        "q_max",
-        "workers",
-        "dim_cap",
-    }
+    known = {f.name for f in fields(ScenarioConfig)}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{key}: unknown config field")
-
-    kwargs = {}
-    if "name" in raw:
-        if not isinstance(raw["name"], str) or not raw["name"]:
-            raise ConfigError("name: must be a non-empty string")
-        kwargs["name"] = raw["name"]
-    if "initial" in raw:
-        kwargs["initial"] = _parse_section("initial", raw["initial"], InitialStateSpec)
-    if "time_grid" in raw:
-        kwargs["time_grid"] = _parse_section("time_grid", raw["time_grid"], GridSpec)
-    if raw.get("nu_grid") is not None:
-        kwargs["nu_grid"] = _parse_section("nu_grid", raw["nu_grid"], GridSpec)
-    if "husimi" in raw:
-        section = dict(raw["husimi"]) if isinstance(raw["husimi"], dict) else raw["husimi"]
-        if isinstance(section, dict) and "taus" in section:
-            if not isinstance(section["taus"], (list, tuple)):
-                raise ConfigError("husimi: taus: expected a list of numbers")
-            section["taus"] = tuple(section["taus"])
-        kwargs["husimi"] = _parse_section("husimi", section, HusimiSection)
-    if raw.get("channel") is not None:
-        section = dict(raw["channel"])
-        if "gamma_tau_grid" in section and section["gamma_tau_grid"] is not None:
-            section["gamma_tau_grid"] = _parse_section(
-                "channel.gamma_tau_grid", section["gamma_tau_grid"], GridSpec
-            )
-        if "m_values" in section:
-            section["m_values"] = tuple(section["m_values"])
-        kwargs["channel"] = _parse_section("channel", section, ChannelSection)
-    if "cutoff" in raw:
-        kwargs["cutoff"] = _parse_section("cutoff", raw["cutoff"], CutoffPolicy)
-    if "outputs" in raw:
-        outputs = tuple(raw["outputs"])
-        for out in outputs:
-            if out not in _KNOWN_OUTPUTS:
-                raise ConfigError(f"outputs: unknown artifact {out!r}")
-        kwargs["outputs"] = outputs
-    for key in ("q_max", "workers", "dim_cap"):
-        if key in raw:
-            value = raw[key]
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{key}: must be a positive integer")
-            kwargs[key] = value
-    return ScenarioConfig(**kwargs)
+    kwargs = dict(raw)
+    for key, cls in _SECTIONS.items():
+        if isinstance(kwargs.get(key), dict):
+            with config_errors(key):
+                kwargs[key] = cls(**kwargs[key])
+    with config_errors("config"):
+        return ScenarioConfig(**kwargs)
 
 
 def config_from_json(path) -> ScenarioConfig:
@@ -228,7 +224,7 @@ def config_from_json(path) -> ScenarioConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
     return config_from_dict(raw)
 
@@ -304,14 +300,12 @@ def nearest_rational(tau: float, q_max: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # scenario runners
 
-def _cap_check(nu: float, m: int, policy: CutoffPolicy, dim_cap: int) -> int:
-    n_cut = choose_cutoff(nu, m, policy)
+def _cutoff(config: ScenarioConfig, nu: float, m: int, mixed: bool = False) -> int:
+    """Fock cutoff of one (nu, m) state, refused when its largest matrix (d x d,
+    or d^2 x d^2 when ``mixed``) would exceed ``config.dim_cap``."""
+    n_cut = choose_cutoff(nu, m, config.cutoff)
     d = n_cut + 1
-    if d * d > dim_cap:
-        raise InfeasibleScenarioError(
-            f"scenario state (nu={nu:g}, m={m}) needs two-mode dimension "
-            f"{d}^2 = {d * d} > dim_cap {dim_cap}"
-        )
+    check_dim_cap(d * d if mixed else d, config.dim_cap, f"state (nu={nu:g}, m={m})")
     return n_cut
 
 
@@ -319,7 +313,7 @@ def run_entropy_curve(config: ScenarioConfig) -> list[CurveRecord]:
     """Entanglement entropy over the time grid, with prominent local minima
     annotated by the nearest rational revival fraction p/q."""
     init = config.initial
-    n_cut = choose_cutoff(init.nu, init.m, config.cutoff)
+    n_cut = _cutoff(config, init.nu, init.m)
     taus = config.time_grid.values()
     entropies = _entropy_column(init, taus, n_cut, config.cutoff)
     minima = set(_prominent_minima(entropies))
@@ -372,7 +366,7 @@ def run_entropy_surface(config: ScenarioConfig) -> list[CurveRecord]:
     init = config.initial
     taus = config.time_grid.values()
     nus = [float(nu) for nu in config.nu_grid.values()]
-    n_cuts = [choose_cutoff(nu, init.m, config.cutoff) for nu in nus]
+    n_cuts = [_cutoff(config, nu, init.m) for nu in nus]
     columns = [
         _entropy_column(replace(init, nu=nu), taus, n_cut, config.cutoff)
         for nu, n_cut in zip(nus, n_cuts)
@@ -407,8 +401,7 @@ def run_decoherence_scan(config: ScenarioConfig) -> list[CurveRecord]:
         nus = [float(nu) for nu in config.nu_grid.values()]
     else:
         raise ConfigError("channel: need gamma_tau_grid, or nu_grid plus a fixed gamma_tau")
-    states = [(nu, m, _cap_check(nu, m, config.cutoff, config.dim_cap))
-              for m in m_values for nu in nus]
+    states = [(nu, m, _cutoff(config, nu, m, mixed=True)) for m in m_values for nu in nus]
     params = ChannelParams(gamma1=chan.gamma1, gamma2=chan.gamma2)
 
     records = []
@@ -439,7 +432,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     init = config.initial
-    n_cut = choose_cutoff(init.nu, init.m, config.cutoff)
+    n_cut = _cutoff(config, init.nu, init.m)
     base = build_initial_state(init, n_cut=n_cut, policy=config.cutoff)
 
     entries = []
@@ -528,18 +521,15 @@ def write_json(path, payload: dict) -> None:
 
 
 def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Apply CLI-style overrides (nu, m, theta, tau_steps, name, workers)."""
-    out = config
-    init_changes = {}
-    for key in ("nu", "m", "theta"):
-        if overrides.get(key) is not None:
-            init_changes[key] = overrides[key]
-    if init_changes:
-        out = replace(out, initial=replace(out.initial, **init_changes))
-    if overrides.get("tau_steps") is not None:
-        out = replace(out, time_grid=replace(out.time_grid, steps=overrides["tau_steps"]))
-    if overrides.get("name") is not None:
-        out = replace(out, name=overrides["name"])
-    if overrides.get("workers") is not None:
-        out = replace(out, workers=overrides["workers"])
-    return out
+    """Apply CLI-style overrides (nu, m, theta, tau_steps, name); a rejected
+    value raises ConfigError naming its field."""
+    init_changes = {key: overrides[key] for key in ("nu", "m", "theta")
+                    if overrides.get(key) is not None}
+    with config_errors("initial"):
+        initial = replace(config.initial, **init_changes)
+    with config_errors("time_grid"):
+        time_grid = (config.time_grid if overrides.get("tau_steps") is None
+                     else replace(config.time_grid, steps=overrides["tau_steps"]))
+    name = config.name if overrides.get("name") is None else overrides["name"]
+    with config_errors("config"):
+        return replace(config, initial=initial, time_grid=time_grid, name=name)

@@ -122,14 +122,73 @@ def test_husimi_rejects_non_finite_tau_flag(tmp_path, capsys, tau):
     assert not (tmp_path / "h_husimi.json").exists()
 
 
-def test_workers_is_ignored_with_one_note(tmp_path, capsys):
-    args = ["entropy", "--nu", "2", "--tau-steps", "21", "--name", "w"]
-    assert run_cli(args + ["--out-dir", tmp_path / "one"]) == 0
-    assert capsys.readouterr().err == ""
-    assert run_cli(args + ["--workers", "3", "--out-dir", tmp_path / "three"]) == 0
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "workers=3" in err and "ignored" in err
-    for suffix in ("csv", "json"):
-        name = f"w_entropy-curve.{suffix}"
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+_DECAY = {"initial": {"nu": 1.0},
+          "channel": {"gamma_tau_grid": {"start": 0, "stop": 0.2, "steps": 2}}}
+
+
+def _channel(**fields):
+    return {**_DECAY, "channel": {**_DECAY["channel"], **fields}}
+
+
+# (argv, scenario JSON or None, exit code): each input once ended in a
+# traceback, an exit code of 2 for a usage error, or a run that should not start.
+BAD_INPUTS = {
+    "nu-not-a-number": (["entropy", "--nu", "abc"], None, 1),
+    "workers-flag-removed": (["entropy", "--workers", "2"], None, 1),
+    "unknown-flag": (["entropy", "--bogus", "1"], None, 1),
+    "theta-nan": (["entropy", "--theta", "nan", "--tau-steps", "5"], None, 1),
+    "nu-negative": (["entropy", "--nu", "-1"], None, 1),
+    "m-negative": (["entropy", "--m", "-2"], None, 1),
+    "tau-steps-zero": (["entropy", "--tau-steps", "0"], None, 1),
+    "resolution-one": (["husimi", "--tau", "0.5", "--resolution", "1"], None, 1),
+    "resolution-zero": (["husimi", "--tau", "0.5", "--resolution", "0"], None, 1),
+    "theta-string": (["entropy"], {"initial": {"nu": 1, "theta": "x"}}, 1),
+    "m-bool": (["entropy", "--tau-steps", "5"], {"initial": {"nu": 1, "m": True}}, 1),
+    "m-float": (["entropy", "--tau-steps", "5"], {"initial": {"nu": 1, "m": 2.0}}, 1),
+    "steps-float": (["entropy"], {"time_grid": {"start": 0, "stop": 1, "steps": 2.5}}, 1),
+    "safety-margin-float": (["entropy", "--tau-steps", "5"],
+                            {"cutoff": {"safety_margin": 2.5}}, 1),
+    "q-max-bool": (["entropy", "--tau-steps", "5"], {"q_max": True}, 1),
+    "channel-list": (["decohere"], {"channel": [1]}, 1),
+    "m-values-int": (["decohere"], _channel(m_values=5), 1),
+    "m-values-negative": (["decohere"], _channel(m_values=[0, -1]), 1),
+    "gamma2-negative": (["decohere"], _channel(gamma2=-0.1), 1),
+    "gamma-tau-negative": (["decohere"], {
+        "initial": {"nu": 1.0}, "nu_grid": {"start": 1, "stop": 1, "steps": 1},
+        "channel": {"gamma_tau_grid": None, "gamma_tau": -1.0}}, 1),
+    "tau-nan": (["decohere"], _channel(tau=float("nan")), 1),
+    "resolution-float": (["husimi"], {"husimi": {"taus": [0.5], "resolution": 2.5}}, 1),
+    "rel-threshold-above-1": (["husimi"], {"husimi": {"taus": [0.5], "rel_threshold": 1.5,
+                                                      "resolution": 11}}, 1),
+    "half-width-zero": (["husimi"], {"husimi": {"taus": [0.5], "half_width": 0,
+                                                "resolution": 11}}, 1),
+    "nu-1e5": (["entropy", "--nu", "1e5", "--tau-steps", "2"], None, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_ends_in_one_named_error(tmp_path, capsys, case):
+    argv, config, code = BAD_INPUTS[case]
+    argv = [*argv, "--out-dir", tmp_path / "out"]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", cfg]
+    try:
+        got = run_cli(argv)
+    except SystemExit as exc:
+        got = exc.code
+    lines = capsys.readouterr().err.splitlines()
+    prefix = "config error: " if code == 1 else "infeasible scenario: "
+    assert got == code
+    assert not any("Traceback" in line for line in lines)
+    assert [line for line in lines if line.startswith(prefix)] == lines[-1:]
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"q_max": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "5000-digit-int"])
+def test_unparsable_config_file_exits_1(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert run_cli(["entropy", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err.startswith("config error: config: invalid JSON")

@@ -7,7 +7,6 @@ from scipy.special import comb, gammaln
 from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.decoherence import (
     ChannelParams,
-    DimensionCapError,
     damp,
     negativity_decay_curve,
 )
@@ -16,7 +15,7 @@ from kerrsplit.entanglement import (
     pure_state_log_negativity,
     pure_to_density,
 )
-from kerrsplit.fock import InitialStateSpec
+from kerrsplit.fock import InfeasibleScenarioError, InitialStateSpec
 
 GAMMA = ChannelParams()  # 0.1 / 0.1
 
@@ -150,9 +149,9 @@ def test_unequal_rates():
 def test_dimension_cap_enforced():
     rho = np.zeros((9, 9, 9, 9), dtype=complex)
     rho[0, 0, 0, 0] = 1.0
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(InfeasibleScenarioError):
         damp(rho, 1.0, dim_cap=80)
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(InfeasibleScenarioError):
         negativity_decay_curve(np.eye(9, dtype=complex) / 3.0, [0.0], dim_cap=80)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -54,9 +55,7 @@ def test_config_from_dict_roundtrip():
             "husimi": {"taus": [0.25], "resolution": 51},
             "channel": {"gamma1": 0.2, "gamma_tau_grid": {"start": 0, "stop": 1, "steps": 3}},
             "cutoff": {"tail_tol": 1e-10, "safety_margin": 3},
-            "outputs": ["entropy-curve"],
             "q_max": 8,
-            "workers": 2,
             "dim_cap": 1000,
         }
     )
@@ -86,6 +85,22 @@ def test_config_from_dict_roundtrip():
         ({"husimi": {"taus": ["0.5"]}}, "husimi"),
         ({"husimi": {"taus": [True]}}, "husimi"),
         ({"husimi": {"taus": 0.5}}, "husimi"),
+        ({"initial": [1.0]}, "initial"),
+        ({"channel": [1]}, "channel"),
+        ({"channel": {"gamma1": -0.1}}, "gamma1"),
+        ({"channel": {"gamma2": -0.1}}, "gamma2"),
+        ({"channel": {"gamma_tau": -0.3}}, "gamma_tau"),
+        ({"channel": {"tau": float("nan")}}, "tau"),
+        ({"channel": {"gamma_tau_grid": {"start": 0, "stop": 1, "steps": 0}}}, "gamma_tau_grid"),
+        ({"channel": {"gamma_tau_grid": [0, 1, 3]}}, "gamma_tau_grid"),
+        ({"channel": {"m_values": 5}}, "m_values"),
+        ({"channel": {"m_values": [0, -1]}}, "m_values"),
+        ({"channel": {"m_values": [1.0]}}, "m_values"),
+        ({"husimi": {"half_width": 0.0}}, "half_width"),
+        ({"husimi": {"rel_threshold": 1.0}}, "rel_threshold"),
+        ({"husimi": {"resolution": 1}}, "resolution"),
+        ({"initial": {"nu": 10 ** 400}}, "nu"),
+        ({"dim_cap": True}, "dim_cap"),
     ],
 )
 def test_config_errors_name_the_field(raw, needle):
@@ -107,12 +122,58 @@ def test_config_from_json(tmp_path):
 
 
 def test_with_overrides():
-    cfg = with_overrides(small_config(), nu=7.0, m=1, tau_steps=9, name="z", workers=3)
+    cfg = with_overrides(small_config(), nu=7.0, m=1, tau_steps=9, name="z")
     assert cfg.initial.nu == 7.0
     assert cfg.initial.m == 1
     assert cfg.time_grid.steps == 9
     assert cfg.name == "z"
-    assert cfg.workers == 3
+
+
+@pytest.mark.parametrize("override,needle", [
+    ({"nu": -1.0}, "initial"),
+    ({"m": 1.5}, "initial"),
+    ({"theta": float("inf")}, "initial"),
+    ({"tau_steps": 0}, "time_grid"),
+    ({"name": ""}, "name"),
+])
+def test_with_overrides_rejects_bad_values(override, needle):
+    with pytest.raises(ConfigError) as err:
+        with_overrides(small_config(), **override)
+    assert needle in str(err.value)
+
+
+# JSON-like values: everything json.load can return, nested a little.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+def _section_values(cls):
+    """A dict over the dataclass's own fields (values fuzzed), or any JSON value."""
+    values = st.one_of(_json_values, st.dictionaries(
+        st.sampled_from(["start", "stop", "steps"]), _json_values))
+    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]), values) | _json_values
+
+
+_SECTIONS = {"initial": InitialStateSpec, "time_grid": GridSpec, "nu_grid": GridSpec,
+             "husimi": sweep.HusimiSection, "channel": ChannelSection, "cutoff": fock.CutoffPolicy}
+_fuzzed_configs = st.fixed_dictionaries({}, optional={
+    f.name: _section_values(_SECTIONS[f.name]) if f.name in _SECTIONS else _json_values
+    for f in fields(ScenarioConfig)
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_fuzzed_configs)
+def test_config_fuzz_gives_a_config_or_a_config_error(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
 
 
 # ---------------------------------------------------------------- minima
@@ -262,6 +323,20 @@ def test_decoherence_scan_names_infeasible_state():
     assert "m=9" in str(err.value)
 
 
+@pytest.mark.parametrize("pipeline", ["curve", "surface", "husimi"])
+def test_dim_cap_bounds_d_on_pure_paths(tmp_path, pipeline):
+    # the pure paths' largest matrix is the d x d splitter output, not d^2
+    d = choose_cutoff(2.0, 0) + 1
+    run = {"curve": run_entropy_curve, "surface": run_entropy_surface,
+           "husimi": lambda cfg: run_husimi(cfg, tmp_path)}[pipeline]
+    cfg = small_config(time_grid=GridSpec(0.0, 1.0, 3), nu_grid=GridSpec(2.0, 2.0, 1),
+                       husimi=sweep.HusimiSection(taus=(0.5,), resolution=11))
+    run(replace(cfg, dim_cap=d))
+    with pytest.raises(InfeasibleScenarioError) as err:
+        run(replace(cfg, dim_cap=d - 1))
+    assert f"{d} x {d}" in str(err.value)
+
+
 def test_run_husimi_writes_grids(tmp_path):
     from kerrsplit.sweep import HusimiSection
 
@@ -382,13 +457,6 @@ def test_csv_layout(tmp_path):
     first = lines[len(meta_lines) + 1].split(",")
     assert first[0] == "0"
     assert first[2] in ("0", "1")
-
-
-def test_parallel_matches_serial():
-    serial = run_entropy_curve(small_config(time_grid=GridSpec(0.0, 0.5, 8), workers=1))
-    parallel = run_entropy_curve(small_config(time_grid=GridSpec(0.0, 0.5, 8), workers=2))
-    assert [r.ordinate for r in serial] == [r.ordinate for r in parallel]
-    assert [r.metadata for r in serial] == [r.metadata for r in parallel]
 
 
 def test_write_json_refuses_non_finite_values(tmp_path):
