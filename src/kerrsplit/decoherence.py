@@ -13,8 +13,11 @@ Free mode rotations are local unitaries that cannot move any entanglement
 quantity computed downstream, so they are omitted.  Mode 1 is output mode c,
 mode 2 is mode d.
 
-The sum factorizes per mode, so ``damp`` applies one precomputed transfer
-matrix per mode on the paired row/column index.
+The sum factorizes per mode, and each factor is that mode's amplitude-damping
+Kraus sum (Nielsen & Chuang, section 8.3.5): R_j = a_p[m_j] * a_p[n_j] with
+a_p[m] = C(m+p, p)^(1/2) * (1 - exp(-2g))^(p/2) * exp(-g*m).  ``damp`` runs
+it on mode c, then on mode d, each as one weighted, shifted slice addition
+per p.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .entanglement import log_negativity, pure_to_density
-from .fock import DEFAULT_DIM_CAP, check_dim_cap
+from .fock import DEFAULT_DIM_CAP, check_dim_cap, check_real
 
 __all__ = [
     "ChannelParams",
@@ -46,26 +49,23 @@ class ChannelParams:
             raise ValueError("coupling rates must be >= 0")
 
 
-def _mode_transfer(dim: int, g: float) -> np.ndarray:
-    """Single-mode loss map as a matrix over the paired index (m, n):
+def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
+    """One mode's Kraus sum over its (row, column) ``axes`` of rho:
 
-    T[(m,n), (m+p, n+p)] = R(m, n, p) for the g = gamma*tau product above.
+    rho[..m..n..] <- sum_p a_p[m] a_p[n] rho[..m+p..n+p..], for g = gamma*tau.
     """
     if g == 0.0:
-        return np.eye(dim * dim)
-    lgfact = gammaln(np.arange(dim) + 1.0)
+        return rho
+    d = rho.shape[0]
+    lgfact = gammaln(np.arange(d) + 1.0)
     log_loss = math.log(-math.expm1(-2.0 * g))  # ln(1 - exp(-2g))
-    out = np.zeros((dim * dim, dim * dim))
-    for p in range(dim):
-        m = np.arange(dim - p)
-        logc = 0.5 * (lgfact[m + p] - lgfact[p] - lgfact[m])
-        w = np.exp(
-            logc[:, None] + logc[None, :] + p * log_loss - g * (m[:, None] + m[None, :])
-        )
-        rows = (m[:, None] * dim + m[None, :]).ravel()
-        cols = ((m[:, None] + p) * dim + (m[None, :] + p)).ravel()
-        out[rows, cols] = w.ravel()
-    return out
+    src = np.moveaxis(rho, axes, (0, 1))
+    out = np.zeros(src.shape, dtype=complex)
+    for p in range(d):
+        m = np.arange(d - p)
+        a = np.exp(0.5 * (lgfact[m + p] - lgfact[p] - lgfact[m] + p * log_loss) - g * m)
+        out[: d - p, : d - p] += np.outer(a, a)[:, :, None, None] * src[p:, p:]
+    return np.moveaxis(out, (0, 1), axes)
 
 
 def damp(
@@ -78,20 +78,16 @@ def damp(
 
     Trace preserving, Hermiticity preserving, completely positive, and a
     semigroup in tau (damping for tau_a then tau_b equals tau_a + tau_b).
+    Returns a new array, also at tau = 0.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 4 or len(set(rho.shape)) != 1:
         raise ValueError(f"rho must be a 4-index array with equal dims, got {rho.shape}")
-    if tau < 0:
+    if check_real("tau", tau) < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    d = rho.shape[0]
-    check_dim_cap(d * d, dim_cap, "two-mode density matrix")
-    t1 = _mode_transfer(d, params.gamma1 * tau)
-    t2 = t1 if params.gamma2 == params.gamma1 else _mode_transfer(d, params.gamma2 * tau)
-    paired = rho.transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(m1,n1), (m2,n2)]
-    paired = t1 @ paired
-    paired = paired @ t2.T
-    return paired.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    check_dim_cap(rho.shape[0] ** 2, dim_cap, "two-mode density matrix")
+    out = _damp_mode(_damp_mode(rho, params.gamma1 * tau, (0, 2)), params.gamma2 * tau, (1, 3))
+    return out.copy() if out is rho else out
 
 
 def negativity_decay_curve(
@@ -109,6 +105,9 @@ def negativity_decay_curve(
     phi = np.asarray(phi, dtype=complex)
     check_dim_cap(phi.shape[0] ** 2, dim_cap, "two-mode density matrix")
     gamma_tau_values = [float(g) for g in gamma_tau_values]
+    for g in gamma_tau_values:
+        if check_real("gamma_tau", g) < 0:
+            raise ValueError(f"gamma_tau must be >= 0, got {g}")
     if any(g > 0 for g in gamma_tau_values) and params.gamma1 <= 0:
         raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")
     rho0 = pure_to_density(phi)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -86,6 +87,11 @@ def _check_type(name: str, value, cls, optional: bool = False):
         raise TypeError(f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
+def _check_non_negative_ends(name: str, grid) -> None:
+    if grid is not None and min(grid.start, grid.stop) < 0:
+        raise ValueError(f"{name} must not go below 0, got {grid}")
+
+
 def _as_tuple(name: str, value) -> tuple:
     """A JSON list (or a tuple) as a tuple; anything else is a TypeError."""
     if not isinstance(value, (list, tuple)):
@@ -150,6 +156,7 @@ class ChannelSection:
             with config_errors("gamma_tau_grid"):
                 object.__setattr__(self, "gamma_tau_grid", GridSpec(**self.gamma_tau_grid))
         _check_type("gamma_tau_grid", self.gamma_tau_grid, GridSpec, optional=True)
+        _check_non_negative_ends("gamma_tau_grid", self.gamma_tau_grid)
         object.__setattr__(self, "m_values", _as_tuple("m_values", self.m_values))
         for m in self.m_values:
             check_int("m_values", m, 0)
@@ -182,9 +189,12 @@ class ScenarioConfig:
         _check_type("name", self.name, str)
         if not self.name:
             raise ValueError("name must be a non-empty string")
+        if any(sep and sep in self.name for sep in ("/", os.sep, os.altsep, "\0")):
+            raise ValueError(f"name must not contain a path separator or NUL, got {self.name!r}")
         for name, cls in _SECTIONS.items():
             _check_type(name, getattr(self, name), cls,
                         optional=name in ("nu_grid", "channel"))
+        _check_non_negative_ends("nu_grid", self.nu_grid)
         check_int("q_max", self.q_max, 1)
         check_int("dim_cap", self.dim_cap, 1)
 
@@ -428,6 +438,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
     section = config.husimi
     if not section.taus:
         raise ConfigError("husimi.taus: at least one tau value is required")
+    check_dim_cap(section.resolution, config.dim_cap, "Husimi grid")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -163,6 +163,20 @@ BAD_INPUTS = {
     "half-width-zero": (["husimi"], {"husimi": {"taus": [0.5], "half_width": 0,
                                                 "resolution": 11}}, 1),
     "nu-1e5": (["entropy", "--nu", "1e5", "--tau-steps", "2"], None, 2),
+    "gamma-tau-grid-negative": (["decohere"], _channel(
+        gamma_tau_grid={"start": -1, "stop": 0, "steps": 3}), 1),
+    "nu-grid-negative-surface": (["surface", "--tau-steps", "3"],
+                                 {"nu_grid": {"start": -1, "stop": 1, "steps": 3}}, 1),
+    "nu-grid-negative-decohere": (["decohere"], {
+        "nu_grid": {"start": -1, "stop": 1, "steps": 3},
+        "channel": {"gamma_tau_grid": None, "gamma_tau": 0.3}}, 1),
+    "name-with-separator": (["entropy", "--nu", "1", "--tau-steps", "3", "--name", "a/b"],
+                            None, 1),
+    "name-with-separator-husimi": (["husimi", "--tau", "0.5", "--resolution", "11",
+                                    "--name", "a/b"], None, 1),
+    "name-with-nul": (["entropy", "--tau-steps", "3"], {"name": "a\0b"}, 1),
+    "husimi-grid-over-cap": (["husimi"], {"dim_cap": 100,
+                                          "husimi": {"taus": [0.5], "resolution": 101}}, 2),
 }
 
 
@@ -183,6 +197,7 @@ def test_bad_input_ends_in_one_named_error(tmp_path, capsys, case):
     assert got == code
     assert not any("Traceback" in line for line in lines)
     assert [line for line in lines if line.startswith(prefix)] == lines[-1:]
+    assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"q_max": ' + b"1" * 5000 + b"}"],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import comb, gammaln
 
 from kerrsplit.beamsplitter import output_at_time
@@ -81,7 +82,9 @@ def random_pure_rho(rng, d):
 def test_zero_time_is_identity():
     rng = np.random.default_rng(1)
     rho = random_pure_rho(rng, 4)
-    assert np.array_equal(damp(rho, 0.0), rho)
+    out = damp(rho, 0.0)
+    assert np.array_equal(out, rho)
+    assert not np.shares_memory(out, rho)
 
 
 def test_single_photon_survival():
@@ -136,6 +139,38 @@ def test_matches_direct_double_sum():
     assert np.max(np.abs(damp(rho, 1.1) - damp_direct(rho, 1.1))) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    gamma1=st.floats(0.0, 1.0),
+    gamma2=st.floats(0.0, 1.0),
+    tau=st.floats(0.0, 3.0),
+    split=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_is_cptp_and_a_semigroup(d, gamma1, gamma2, tau, split, seed):
+    """Mixed input states, independent rates per mode: damp matches the Kraus
+    oracle, gives a state, and damping for tau_a then tau_b is damping for
+    tau_a + tau_b."""
+    params = ChannelParams(gamma1=gamma1, gamma2=gamma2)
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    mat = g @ g.conj().T
+    rho = (mat / np.trace(mat).real).reshape(d, d, d, d)
+
+    out = damp(rho, tau, params)
+    assert np.max(np.abs(out - kraus_damp(rho, tau, params))) < 1e-10
+    out_mat = out.reshape(d * d, d * d)
+    assert abs(np.trace(out_mat) - 1.0) < 1e-10
+    assert np.max(np.abs(out_mat - out_mat.conj().T)) < 1e-12
+    assert np.linalg.eigvalsh(out_mat).min() >= -1e-10
+
+    tau_a = split * tau
+    tau_b = tau - tau_a
+    twice = damp(damp(rho, tau_a, params), tau_b, params)
+    assert np.max(np.abs(twice - damp(rho, tau_a + tau_b, params))) < 1e-10
+
+
 def test_unequal_rates():
     params = ChannelParams(gamma1=0.1, gamma2=0.25)
     phi = np.zeros((2, 2), dtype=complex)
@@ -163,6 +198,13 @@ def test_damp_input_validation():
         damp(np.zeros((2, 2), dtype=complex), 1.0)
     with pytest.raises(ValueError):
         ChannelParams(gamma1=-0.1)
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            damp(rho, tau)
+    phi = np.eye(2, dtype=complex) / math.sqrt(2.0)
+    for gamma_tau in (-0.5, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma_tau"):
+            negativity_decay_curve(phi, [0.0, gamma_tau])
 
 
 def test_decay_curve_starts_at_closed_form_and_decreases():
