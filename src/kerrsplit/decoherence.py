@@ -45,8 +45,9 @@ class ChannelParams:
     gamma2: float = 0.1
 
     def __post_init__(self):
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("coupling rates must be >= 0")
+        for name in ("gamma1", "gamma2"):
+            if check_real(name, getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:

@@ -9,7 +9,9 @@ vacuum with x = sqrt(2)*Re(beta), p = sqrt(2)*Im(beta), and
 Q is bounded by 1/pi, a coherent state peaks at (sqrt(2)Re alpha,
 sqrt(2)Im alpha), and the phase-space measure is dx dp / 2 (so sum(Q)*dx*dp/2
 is ~1 on a window enclosing the state).  Q is evaluated directly from the
-Fock amplitudes by a Horner pass over the grid.
+Fock amplitudes by a Horner pass over the grid.  Peaks are counted by
+topographic prominence with ``prominent_summits``, the same rule that finds
+the entropy minima of a curve in ``sweep``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "default_half_width",
     "husimi_q",
     "n_max_estimate",
+    "prominent_summits",
     "write_grid_csv",
     "write_grid_matrix",
 ]
@@ -76,19 +79,14 @@ def husimi_q(
     state: FockVector,
     half_width: float | None = None,
     resolution: int = 201,
-    bounds: tuple[float, float, float, float] | None = None,
 ) -> PhaseSpaceGrid:
     """Evaluate Q on a square window of the given half-width (default sized
-    from the state's mean photon number), or on explicit (x0, x1, p0, p1)
-    bounds."""
+    from the state's mean photon number)."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
-    if bounds is None:
-        if half_width is None:
-            half_width = default_half_width(state.mean_photon_number())
-        bounds = (-half_width, half_width, -half_width, half_width)
-    x = np.linspace(bounds[0], bounds[1], resolution)
-    p = np.linspace(bounds[2], bounds[3], resolution)
+    if half_width is None:
+        half_width = default_half_width(state.mean_photon_number())
+    x = p = np.linspace(-half_width, half_width, resolution)
 
     n = np.arange(len(state.amplitudes))
     coeff = state.amplitudes * np.exp(-0.5 * gammaln(n + 1))
@@ -108,74 +106,45 @@ def n_max_estimate(alpha_mag: float) -> float:
     return math.pi * alpha_mag / math.sqrt(math.log(10.0))
 
 
-def _peak_prominences(values: np.ndarray) -> list[tuple[float, float]]:
-    """(summit, prominence) per regional maximum, by descending flood fill.
+def prominent_summits(values: np.ndarray, floor: float) -> list[int]:
+    """First flat index of each regional maximum of ``values`` whose
+    topographic prominence is at least ``floor``, in ascending order.
 
-    Pixels are visited from highest to lowest; a pixel with no visited
-    neighbour (8-connectivity) seeds a new peak region, and when regions
-    merge, the lower summit is assigned prominence summit - merge_level.
-    The last surviving region's summit keeps its full height (the field is
-    non-negative).  Plateaus are counted once.
+    A summit at level s counts when the component of {values > s - floor}
+    holding it (full connectivity: 8 neighbours in 2-D) has no pixel above s,
+    the h-maxima rule.  Plateaus, and equal summits joined above s - floor,
+    count once; the global maximum always counts.
     """
-    nx, ny = values.shape
+    # Imported here: at module level scipy.ndimage would add 0.06-0.1 s to
+    # every `import kerrsplit.cli`, and most commands never use it.
+    from scipy import ndimage
+
     flat = values.ravel()
-    order = np.argsort(-flat, kind="stable")
-    parent = np.full(flat.size, -1, dtype=np.int64)  # -1 = unvisited
-    summit: dict[int, float] = {}
-    proms: list[tuple[float, float]] = []
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for raw in order:
-        idx = int(raw)
-        level = float(flat[idx])
-        i, j = divmod(idx, ny)
-        roots = set()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                a, b = i + di, j + dj
-                if (di or dj) and 0 <= a < nx and 0 <= b < ny:
-                    neighbour = a * ny + b
-                    if parent[neighbour] != -1:
-                        roots.add(find(neighbour))
-        if not roots:
-            parent[idx] = idx
-            summit[idx] = level
-            continue
-        ordered = sorted(roots, key=lambda r: summit[r])
-        top = ordered[-1]
-        parent[idx] = top
-        for r in ordered[:-1]:
-            proms.append((summit[r], summit[r] - level))
-            parent[r] = top
-    final_root = find(int(order[0]))
-    proms.append((summit[final_root], summit[final_root]))
-    return proms
+    structure = ndimage.generate_binary_structure(values.ndim, values.ndim)
+    crest = values == ndimage.maximum_filter(values, footprint=structure, mode="nearest")
+    high = (values - values.min() >= floor) | (values == flat.max())
+    candidates = np.flatnonzero(crest & high)
+    summits = []
+    for level in np.unique(flat[candidates]):
+        labels, _ = ndimage.label(values > level - floor, structure)
+        at_level = candidates[flat[candidates] == level]
+        components, first = np.unique(labels.ravel()[at_level], return_index=True)
+        tops = ndimage.maximum(values, labels, components)
+        summits.extend(int(at_level[i]) for i, top in zip(first, tops) if top <= level)
+    return sorted(summits)
 
 
 def count_peaks(grid: PhaseSpaceGrid, rel_threshold: float = 0.1) -> int:
-    """Number of well-distinguished peaks of Q.
-
-    A peak is a regional maximum whose topographic prominence is at least
-    rel_threshold times the global maximum, i.e. it forms its own connected
-    component of the super-level set {Q >= level} for every level within
-    that margin below its summit.  Thresholding prominence rather than the
-    raw super-level set keeps interference ridges between neighbouring
-    sub-packets from silently bridging them.
+    """Number of well-distinguished peaks of Q: regional maxima whose
+    prominence is at least rel_threshold times the global maximum, so that
+    interference ridges between neighbouring sub-packets cannot bridge them.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
     top = float(grid.values.max())
     if top <= 0.0:
         return 0
-    floor = rel_threshold * top
-    return sum(1 for _, prom in _peak_prominences(grid.values) if prom >= floor)
+    return len(prominent_summits(grid.values, rel_threshold * top))
 
 
 def write_grid_csv(grid: PhaseSpaceGrid, path) -> None:

@@ -42,6 +42,7 @@ from .husimi import (
     count_peaks,
     husimi_q,
     n_max_estimate,
+    prominent_summits,
     write_grid_csv,
     write_grid_matrix,
 )
@@ -261,43 +262,18 @@ def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
 # local-minimum detection and rational annotation
 
 def _prominent_minima(values: np.ndarray, floor: float = MINIMUM_PROMINENCE) -> list[int]:
-    """Indices of interior local minima with topographic prominence >= floor.
-
-    Basins are grown in ascending value order and merged where they meet; a
-    basin's prominence is the barrier height at which it merges into a deeper
-    one.  Merging (rather than walking from each stencil minimum) keeps a deep
-    dip split across two grid points from pruning both halves.  Endpoints are
-    not reported.
+    """Indices of interior local minima with topographic prominence >= floor:
+    the prominent summits of -values whose plateau touches neither end.  A
+    deep dip split across two grid points keeps its full prominence, and the
+    deepest basin's prominence is the range of the values.
     """
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    basin = np.full(n, -1, dtype=np.int64)  # -1 = unvisited, else basin seed index
-    prominence: dict[int, float] = {}
-    for raw in order:
-        i = int(raw)
-        seeds = {int(basin[j]) for j in (i - 1, i + 1) if 0 <= j < n and basin[j] != -1}
-        if not seeds:
-            basin[i] = i  # seed = lowest point of its basin (ascending sweep)
-            continue
-        deepest, *rest = sorted(seeds, key=lambda s: values[s])
-        basin[i] = deepest
-        for s in rest:
-            prominence[s] = float(values[i] - values[s])
-            basin[basin == s] = deepest
-    for s in set(np.flatnonzero(basin == np.arange(n))) - set(prominence):
-        prominence[int(s)] = float(values.max() - values[s])
+    if np.ptp(values) < floor:
+        return []
 
-    def interior_minimum(i: int) -> bool:
-        # plateau-aware stencil: the nearest non-equal values on both sides rise
-        a = i
-        while a > 0 and values[a - 1] == values[i]:
-            a -= 1
-        b = i
-        while b < n - 1 and values[b + 1] == values[i]:
-            b += 1
-        return a > 0 and b < n - 1 and values[a - 1] > values[i] < values[b + 1]
+    def touches_end(i: int) -> bool:
+        return bool((values[: i + 1] == values[i]).all() or (values[i:] == values[i]).all())
 
-    return sorted(i for i, prom in prominence.items() if prom >= floor and interior_minimum(i))
+    return [i for i in prominent_summits(-values, floor) if not touches_end(i)]
 
 
 def nearest_rational(tau: float, q_max: int) -> tuple[int, int]:
@@ -310,12 +286,24 @@ def nearest_rational(tau: float, q_max: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # scenario runners
 
+def _dim_lower_bound(nu: float, m: int, policy: CutoffPolicy) -> int:
+    """A lower bound on choose_cutoff(nu, m, policy) + 1 that allocates nothing:
+    below the Poisson median, which is at least nu - ln 2, the tail holds half
+    the mass or more, and photon addition only moves weight upward."""
+    past_median = max(0, math.ceil(nu - math.log(2.0))) if policy.tail_tol < 0.5 else 0
+    return m + policy.safety_margin + 1 + past_median
+
+
 def _cutoff(config: ScenarioConfig, nu: float, m: int, mixed: bool = False) -> int:
     """Fock cutoff of one (nu, m) state, refused when its largest matrix (d x d,
-    or d^2 x d^2 when ``mixed``) would exceed ``config.dim_cap``."""
+    or d^2 x d^2 when ``mixed``) would exceed ``config.dim_cap``; a lower bound
+    on d is checked before the cutoff's weight arrays are built."""
+    what = f"state (nu={nu:g}, m={m})"
+    low = _dim_lower_bound(nu, m, config.cutoff)
+    check_dim_cap(low * low if mixed else low, config.dim_cap, what)
     n_cut = choose_cutoff(nu, m, config.cutoff)
     d = n_cut + 1
-    check_dim_cap(d * d if mixed else d, config.dim_cap, f"state (nu={nu:g}, m={m})")
+    check_dim_cap(d * d if mixed else d, config.dim_cap, what)
     return n_cut
 
 
@@ -406,11 +394,14 @@ def run_decoherence_scan(config: ScenarioConfig) -> list[CurveRecord]:
     init = config.initial
     m_values = chan.m_values if chan.m_values else (init.m,)
     if chan.gamma_tau_grid is not None:
-        nus = [init.nu]
+        nus, gamma_taus = [init.nu], chan.gamma_tau_grid.values().tolist()
     elif config.nu_grid is not None:
-        nus = [float(nu) for nu in config.nu_grid.values()]
+        nus, gamma_taus = [float(nu) for nu in config.nu_grid.values()], [chan.gamma_tau]
     else:
         raise ConfigError("channel: need gamma_tau_grid, or nu_grid plus a fixed gamma_tau")
+    longest = max(gamma_taus) / chan.gamma1  # the damping time of the largest gamma_tau
+    if not (math.isfinite(longest) and math.isfinite(chan.gamma2 * longest)):
+        raise ConfigError("channel: gamma_tau/gamma1 or gamma2*gamma_tau/gamma1 is not finite")
     states = [(nu, m, _cutoff(config, nu, m, mixed=True)) for m in m_values for nu in nus]
     params = ChannelParams(gamma1=chan.gamma1, gamma2=chan.gamma2)
 
@@ -421,12 +412,11 @@ def run_decoherence_scan(config: ScenarioConfig) -> list[CurveRecord]:
         meta = {"nu": nu, "m": m, "theta": init.theta, "n_cut": n_cut,
                 "revival_tau": chan.tau}
         if chan.gamma_tau_grid is not None:
-            curve = negativity_decay_curve(phi, chan.gamma_tau_grid.values(), params,
-                                           config.dim_cap)
+            curve = negativity_decay_curve(phi, gamma_taus, params, config.dim_cap)
             records.extend(CurveRecord("gamma_tau", g, "log_negativity", float(en), dict(meta))
                            for g, en in curve)
         else:
-            ((_, en),) = negativity_decay_curve(phi, [chan.gamma_tau], params, config.dim_cap)
+            ((_, en),) = negativity_decay_curve(phi, gamma_taus, params, config.dim_cap)
             meta["gamma_tau"] = chan.gamma_tau
             records.append(CurveRecord("nu", nu, "log_negativity", float(en), meta))
     return records

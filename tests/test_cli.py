@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from kerrsplit import fock
 from kerrsplit.cli import main
 
 
@@ -177,11 +178,22 @@ BAD_INPUTS = {
     "name-with-nul": (["entropy", "--tau-steps", "3"], {"name": "a\0b"}, 1),
     "husimi-grid-over-cap": (["husimi"], {"dim_cap": 100,
                                           "husimi": {"taus": [0.5], "resolution": 101}}, 2),
+    "gamma1-subnormal": (["decohere", "--nu", "0.1"], _channel(
+        gamma1=1e-320, gamma_tau_grid={"start": 0, "stop": 1, "steps": 2}), 1),
+    "gamma2-over-gamma1-overflows": (["decohere", "--nu", "0.1"], _channel(
+        gamma1=1e-300, gamma2=1e10, gamma_tau_grid={"start": 0, "stop": 1, "steps": 2}), 1),
+    "nu-1e9": (["entropy", "--nu", "1e9", "--tau-steps", "2"], None, 2),
+    "m-1e9": (["entropy", "--m", "1000000000", "--tau-steps", "2"], None, 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_ends_in_one_named_error(tmp_path, capsys, case):
+def test_bad_input_ends_in_one_named_error(tmp_path, capsys, monkeypatch, case):
+    def refuse(*args):
+        raise AssertionError("the cutoff's weight arrays were built for a bad input")
+
+    # no bad input may get as far as allocating the cutoff's weights
+    monkeypatch.setattr(fock, "_converged_weights", refuse)
     argv, config, code = BAD_INPUTS[case]
     argv = [*argv, "--out-dir", tmp_path / "out"]
     if config is not None:

@@ -198,6 +198,12 @@ def test_damp_input_validation():
         damp(np.zeros((2, 2), dtype=complex), 1.0)
     with pytest.raises(ValueError):
         ChannelParams(gamma1=-0.1)
+    for rate in (math.nan, math.inf):
+        for name in ("gamma1", "gamma2"):
+            with pytest.raises(ValueError, match=name):
+                ChannelParams(**{name: rate})
+    with pytest.raises(TypeError, match="gamma2"):
+        ChannelParams(gamma2="0.1")
     for tau in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tau"):
             damp(rho, tau)

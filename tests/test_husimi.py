@@ -1,8 +1,11 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kerrsplit.fock import InitialStateSpec, build_initial_state, fock_state
 from kerrsplit.husimi import (
@@ -11,6 +14,7 @@ from kerrsplit.husimi import (
     default_half_width,
     husimi_q,
     n_max_estimate,
+    prominent_summits,
     write_grid_csv,
     write_grid_matrix,
 )
@@ -104,6 +108,117 @@ def test_count_peaks_degenerate_grid():
     assert count_peaks(grid) == 0
     with pytest.raises(ValueError):
         count_peaks(grid, rel_threshold=0.0)
+
+
+def flood_fill_prominences(values):
+    """(summit, prominence) per regional maximum, by descending flood fill:
+    the reference for prominent_summits.
+
+    Pixels are visited from highest to lowest; a pixel with no visited
+    neighbour (8-connectivity) seeds a new peak region, and when regions
+    merge, the lower summit is assigned prominence summit - merge_level.
+    The last surviving region's summit keeps its full height (the field is
+    non-negative).  Plateaus are counted once.
+    """
+    nx, ny = values.shape
+    flat = values.ravel()
+    order = np.argsort(-flat, kind="stable")
+    parent = np.full(flat.size, -1, dtype=np.int64)  # -1 = unvisited
+    summit = {}
+    proms = []
+
+    def find(i):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    for raw in order:
+        idx = int(raw)
+        level = float(flat[idx])
+        i, j = divmod(idx, ny)
+        roots = set()
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                a, b = i + di, j + dj
+                if (di or dj) and 0 <= a < nx and 0 <= b < ny:
+                    neighbour = a * ny + b
+                    if parent[neighbour] != -1:
+                        roots.add(find(neighbour))
+        if not roots:
+            parent[idx] = idx
+            summit[idx] = level
+            continue
+        ordered = sorted(roots, key=lambda r: summit[r])
+        top = ordered[-1]
+        parent[idx] = top
+        for r in ordered[:-1]:
+            proms.append((summit[r], summit[r] - level))
+            parent[r] = top
+    final_root = find(int(order[0]))
+    proms.append((summit[final_root], summit[final_root]))
+    return proms
+
+
+def flood_fill_count(values, rel_threshold):
+    top = float(values.max())
+    if top <= 0.0:
+        return 0
+    return sum(1 for _, prom in flood_fill_prominences(values) if prom >= rel_threshold * top)
+
+
+def as_grid(values):
+    nx, ny = values.shape
+    return PhaseSpaceGrid(np.arange(nx), np.arange(ny), values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 14), ny=st.integers(1, 14),
+       smooth=st.booleans(), rel=st.floats(0.01, 0.99))
+def test_count_peaks_equals_flood_fill(seed, nx, ny, smooth, rel):
+    values = np.random.default_rng(seed).random((nx, ny))
+    if smooth:  # 2x2 box sum: fewer, broader summits
+        padded = np.pad(values, ((0, 1), (0, 1)), mode="edge")
+        values = padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:]
+    assert count_peaks(as_grid(values), rel) == flood_fill_count(values, rel)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1 / 3, 0.25, 0.2, 1 / 6, 2 / 3, 0.37])
+@pytest.mark.parametrize("rel", [0.05, 0.1, 0.3, 0.6])
+def test_count_peaks_equals_flood_fill_on_husimi_maps(tau, rel):
+    values = husimi_q(evolved(5.0, 0, tau), resolution=61).values
+    assert count_peaks(as_grid(values), rel) == flood_fill_count(values, rel)
+
+
+def test_prominent_summits_ties_plateaus_and_edges():
+    # equal summits joined above s - floor count once, at the first index
+    assert prominent_summits(np.array([0.0, 1.0, 0.95, 1.0, 0.0]), 0.1) == [1]
+    # ... and twice when the saddle between them is deeper than the floor
+    assert prominent_summits(np.array([0.0, 1.0, 0.8, 1.0, 0.0]), 0.1) == [1, 3]
+    # a plateau counts once, at its first pixel; a shelf on a slope never counts
+    assert prominent_summits(np.array([0.0, 2.0, 2.0, 2.0, 0.0, 1.0, 1.0, 1.5]), 0.5) == [1, 7]
+    # summits on the border count
+    assert prominent_summits(np.array([1.0, 0.0, 0.5]), 0.4) == [0, 2]
+    # the global maximum counts even when the floor exceeds the range
+    assert prominent_summits(np.array([0.5, 0.6, 0.5]), 1.0) == [1]
+    # 8-connectivity: diagonal neighbours join, so the lower summit drops
+    field = np.array([[1.0, 0.0], [0.0, 0.9]])
+    assert prominent_summits(field, 0.5) == [0]
+    plateau = np.zeros((4, 4))
+    plateau[1:3, 1:3] = 1.0
+    assert prominent_summits(plateau, 0.5) == [5]
+    assert count_peaks(as_grid(plateau)) == 1
+
+
+def test_importing_the_cli_leaves_out_scipy_ndimage():
+    # scipy.ndimage costs 0.06-0.1 s to import; only peak and minimum
+    # detection need it, so it must stay out of every command's start-up.
+    code = "import sys, kerrsplit.cli; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_husimi_validation():

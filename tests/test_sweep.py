@@ -17,6 +17,7 @@ from kerrsplit.sweep import (
     GridSpec,
     InfeasibleScenarioError,
     ScenarioConfig,
+    _dim_lower_bound,
     _prominent_minima,
     config_from_dict,
     config_from_json,
@@ -191,6 +192,74 @@ def test_prominent_minima_handles_plateau():
 def test_prominent_minima_ignores_endpoints_and_noise():
     v = np.array([0.0, 1.0, 0.999, 1.0, 2.0])
     assert _prominent_minima(v, 0.05) == []
+
+
+def basin_minima(values, floor):
+    """Interior local minima with prominence >= floor by ascending basin
+    merging: the reference for _prominent_minima.
+
+    Basins are grown in ascending value order and merged where they meet; a
+    basin's prominence is the barrier height at which it merges into a deeper
+    one, and the deepest basin's is the range of values.
+    """
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    basin = np.full(n, -1, dtype=np.int64)  # -1 = unvisited, else basin seed index
+    prominence = {}
+    for raw in order:
+        i = int(raw)
+        seeds = {int(basin[j]) for j in (i - 1, i + 1) if 0 <= j < n and basin[j] != -1}
+        if not seeds:
+            basin[i] = i  # seed = lowest point of its basin (ascending sweep)
+            continue
+        deepest, *rest = sorted(seeds, key=lambda s: values[s])
+        basin[i] = deepest
+        for s in rest:
+            prominence[s] = float(values[i] - values[s])
+            basin[basin == s] = deepest
+    for s in set(np.flatnonzero(basin == np.arange(n))) - set(prominence):
+        prominence[int(s)] = float(values.max() - values[s])
+
+    def interior_minimum(i):
+        # plateau-aware stencil: the nearest non-equal values on both sides rise
+        a = i
+        while a > 0 and values[a - 1] == values[i]:
+            a -= 1
+        b = i
+        while b < n - 1 and values[b + 1] == values[i]:
+            b += 1
+        return a > 0 and b < n - 1 and values[a - 1] > values[i] < values[b + 1]
+
+    return sorted(i for i, prom in prominence.items() if prom >= floor and interior_minimum(i))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), floor=st.floats(0.001, 1.0),
+       walk=st.booleans())
+def test_prominent_minima_equal_basin_merging(seed, n, floor, walk):
+    values = np.random.default_rng(seed).random(n)
+    if walk:  # a random walk: long slopes with shallow dips on them
+        values = np.cumsum(values - 0.5)
+    assert _prominent_minima(values, floor) == basin_minima(values, floor)
+
+
+@pytest.mark.parametrize("nu,m", [(2.0, 0), (5.0, 0), (5.0, 5), (10.0, 2)])
+def test_prominent_minima_equal_basin_merging_on_entropy_curves(nu, m):
+    entropies = [rec.ordinate for rec in run_entropy_curve(small_config(
+        initial=InitialStateSpec(nu=nu, m=m), time_grid=GridSpec(0.0, 1.0, 301)))]
+    values = np.array(entropies)
+    assert _prominent_minima(values) == basin_minima(values, sweep.MINIMUM_PROMINENCE)
+
+
+def test_prominent_minima_ties_plateaus_and_ends():
+    # equal minima joined below the floor: one report, the first
+    assert _prominent_minima(np.array([2.0, 1.0, 1.02, 1.0, 2.0]), 0.05) == [1]
+    # a flat bottom reaching either end is not interior
+    assert _prominent_minima(np.array([1.0, 1.0, 2.0, 0.0, 2.0]), 0.5) == [3]
+    assert _prominent_minima(np.array([2.0, 0.0, 2.0, 1.0, 1.0]), 0.5) == [1]
+    # a range below the floor has no minima, a constant curve neither
+    assert _prominent_minima(np.array([1.0, 0.98, 1.0]), 0.05) == []
+    assert _prominent_minima(np.ones(5), 0.05) == []
 
 
 def test_nearest_rational():
@@ -407,6 +476,14 @@ def test_cutoff_runs_once_per_curve_and_per_nu_column(monkeypatch):
     run_entropy_surface(small_config(time_grid=GridSpec(0.0, 1.0, 50),
                                      nu_grid=GridSpec(1.0, 4.0, 4)))
     assert len(calls) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 400.0)), m=st.integers(0, 40),
+       tail_tol=st.floats(1e-15, 0.49), safety_margin=st.integers(0, 8))
+def test_dim_lower_bound_never_exceeds_the_cutoff(nu, m, tail_tol, safety_margin):
+    policy = fock.CutoffPolicy(tail_tol=tail_tol, safety_margin=safety_margin)
+    assert _dim_lower_bound(nu, m, policy) <= choose_cutoff(nu, m, policy) + 1
 
 
 def test_blocks_bound_the_amplitude_stack(monkeypatch):
