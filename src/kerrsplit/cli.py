@@ -4,7 +4,8 @@ Subcommands: ``entropy``, ``surface``, ``husimi``, ``decohere`` and
 ``oracle-check``.  Each takes an optional ``--config`` JSON scenario plus a
 few per-field overrides, and writes CSV/JSON artifacts under ``--out-dir``.
 Exit codes: 0 success, 1 invalid configuration or command line,
-2 numerically infeasible scenario (dimension cap).
+2 infeasible scenario: over the dimension cap, or a numerical failure (a
+linear-algebra routine that does not converge, or a non-finite result).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .kerr import oracle_fidelity
 from .sweep import (
@@ -211,6 +214,9 @@ def main(argv=None) -> int:
         return 1
     except InfeasibleScenarioError as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"infeasible scenario: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

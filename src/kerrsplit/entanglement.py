@@ -59,13 +59,13 @@ def entanglement_entropies(phis: np.ndarray) -> np.ndarray:
 
 
 def pure_to_density(phi: np.ndarray) -> np.ndarray:
-    """Rank-1 density matrix rho[m1,m2,n1,n2] = phi[m1,m2] * conj(phi[n1,n2])."""
+    """Rank-1 density matrix rho[m1,m2,n1,n2] = phi[m1,m2] * conj(phi[n1,n2]),
+    of shape (d1, d2, d1, d2) for a (d1, d2) phi."""
     phi = np.asarray(phi, dtype=complex)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise ValueError(f"phi must be square, got shape {phi.shape}")
-    d = phi.shape[0]
+    if phi.ndim != 2:
+        raise ValueError(f"phi must be a (d1, d2) matrix, got shape {phi.shape}")
     v = phi.reshape(-1)
-    return np.outer(v, v.conj()).reshape(d, d, d, d)
+    return np.outer(v, v.conj()).reshape(phi.shape * 2)
 
 
 def partial_transpose(rho: np.ndarray, mode: str = "c") -> np.ndarray:

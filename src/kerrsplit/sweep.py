@@ -64,6 +64,9 @@ __all__ = [
 # prune entropy local minima shallower than this (ebits)
 MINIMUM_PROMINENCE = 0.05
 
+# Most points a grid, or the surface's tau x nu product, may hold.
+MAX_GRID_POINTS = 10**6
+
 # Two-mode amplitudes per batched block of tau values, in bytes.  Larger
 # blocks run no faster and raise the peak memory of a curve.
 _BLOCK_BYTES = 1 << 18
@@ -93,6 +96,12 @@ def _check_non_negative_ends(name: str, grid) -> None:
         raise ValueError(f"{name} must not go below 0, got {grid}")
 
 
+def _check_finite(values, what: str) -> None:
+    """Refuse a NaN or infinite result, a numerical failure, as infeasible."""
+    if not np.isfinite(values).all():
+        raise InfeasibleScenarioError(f"{what}: the computation gave a non-finite result")
+
+
 def _as_tuple(name: str, value) -> tuple:
     """A JSON list (or a tuple) as a tuple; anything else is a TypeError."""
     if not isinstance(value, (list, tuple)):
@@ -111,7 +120,8 @@ class GridSpec:
     def __post_init__(self):
         check_real("start", self.start)
         check_real("stop", self.stop)
-        check_int("steps", self.steps, 1)
+        if check_int("steps", self.steps, 1) > MAX_GRID_POINTS:
+            raise ValueError(f"steps must be <= {MAX_GRID_POINTS}, got {self.steps}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -196,6 +206,10 @@ class ScenarioConfig:
             _check_type(name, getattr(self, name), cls,
                         optional=name in ("nu_grid", "channel"))
         _check_non_negative_ends("nu_grid", self.nu_grid)
+        points = self.time_grid.steps * (self.nu_grid.steps if self.nu_grid else 0)
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"time_grid.steps * nu_grid.steps must be <= {MAX_GRID_POINTS}, "
+                             f"got {points}")
         check_int("q_max", self.q_max, 1)
         check_int("dim_cap", self.dim_cap, 1)
 
@@ -255,6 +269,7 @@ def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
     for start in range(0, len(taus), block):
         rows = amplitudes * kerr_phases(d, taus[start:start + block])
         out[start:start + block] = entanglement_entropies(split_amplitudes(rows))
+    _check_finite(out, f"entropy of (nu={spec.nu:g}, m={spec.m})")
     return out
 
 
@@ -411,12 +426,13 @@ def run_decoherence_scan(config: ScenarioConfig) -> list[CurveRecord]:
                              policy=config.cutoff)
         meta = {"nu": nu, "m": m, "theta": init.theta, "n_cut": n_cut,
                 "revival_tau": chan.tau}
+        curve = negativity_decay_curve(phi, gamma_taus, params, config.dim_cap)
+        _check_finite([en for _, en in curve], f"log negativity of (nu={nu:g}, m={m})")
         if chan.gamma_tau_grid is not None:
-            curve = negativity_decay_curve(phi, gamma_taus, params, config.dim_cap)
             records.extend(CurveRecord("gamma_tau", g, "log_negativity", float(en), dict(meta))
                            for g, en in curve)
         else:
-            ((_, en),) = negativity_decay_curve(phi, gamma_taus, params, config.dim_cap)
+            ((_, en),) = curve
             meta["gamma_tau"] = chan.gamma_tau
             records.append(CurveRecord("nu", nu, "log_negativity", float(en), meta))
     return records
@@ -441,6 +457,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
         state = kerr_evolve(base, float(tau))
         grid = husimi_q(state, half_width=section.half_width,
                         resolution=section.resolution)
+        _check_finite(grid.values, f"Husimi Q at tau={float(tau):g}")
         stem = f"{config.name}_husimi_tau_{float(tau):.6g}"
         csv_path = out_dir / f"{stem}.csv"
         mat_path = out_dir / f"{stem}.qmat"

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kerrsplit import fock
@@ -184,6 +185,12 @@ BAD_INPUTS = {
         gamma1=1e-300, gamma2=1e10, gamma_tau_grid={"start": 0, "stop": 1, "steps": 2}), 1),
     "nu-1e9": (["entropy", "--nu", "1e9", "--tau-steps", "2"], None, 2),
     "m-1e9": (["entropy", "--m", "1000000000", "--tau-steps", "2"], None, 2),
+    "tau-steps-1e9": (["entropy", "--tau-steps", "1000000000"], None, 1),
+    "gamma-tau-steps-1e9": (["decohere"], _channel(
+        gamma_tau_grid={"start": 0, "stop": 1, "steps": 10**9}), 1),
+    "surface-product-over-cap": (["surface"], {
+        "time_grid": {"start": 0, "stop": 1, "steps": 1001},
+        "nu_grid": {"start": 1, "stop": 2, "steps": 1000}}, 1),
 }
 
 
@@ -219,3 +226,35 @@ def test_unparsable_config_file_exits_1(tmp_path, capsys, content):
     cfg.write_bytes(content)
     assert run_cli(["entropy", "--config", cfg, "--out-dir", tmp_path]) == 1
     assert capsys.readouterr().err.startswith("config error: config: invalid JSON")
+
+
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+def _nan_singular_values(a, *args, **kwargs):
+    return np.full(np.shape(a)[:-1], np.nan)
+
+
+# (argv, the numpy.linalg routine to break, its stand-in): a routine that does
+# not converge, or a non-finite result, is a numerical failure, exit 2
+NUMERICAL_FAILURES = {
+    "eigvalsh-raises-on-decohere": (["decohere", "--config", "cfg.json"], "eigvalsh",
+                                    _raise_linalg_error),
+    "svd-raises-on-entropy": (["entropy", "--nu", "1", "--tau-steps", "5"], "svd",
+                              _raise_linalg_error),
+    "svd-gives-nan-on-decohere": (["decohere", "--config", "cfg.json"], "svd",
+                                  _nan_singular_values),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERICAL_FAILURES))
+def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch, case):
+    argv, routine, stand_in = NUMERICAL_FAILURES[case]
+    (tmp_path / "cfg.json").write_text(json.dumps(_DECAY))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np.linalg, routine, stand_in)
+    assert run_cli([*argv, "--out-dir", tmp_path / "out"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("infeasible scenario: ")
+    assert not (tmp_path / "out").exists()

@@ -23,10 +23,11 @@ GAMMA = ChannelParams()  # 0.1 / 0.1
 
 def kraus_damp(rho, tau, params=GAMMA):
     """Independent oracle: amplitude-damping Kraus operators per mode,
-    K_p[m, m+p] = sqrt(C(m+p, p)) * eta^(m/2) * (1-eta)^(p/2), eta = e^(-2g)."""
-    d = rho.shape[0]
+    K_p[m, m+p] = sqrt(C(m+p, p)) * eta^(m/2) * (1-eta)^(p/2), eta = e^(-2g),
+    on rho of shape (d1, d2, d1, d2)."""
+    d1, d2 = rho.shape[:2]
 
-    def mode_kraus(g):
+    def mode_kraus(g, d):
         eta = math.exp(-2.0 * g)
         ops = []
         for p in range(d):
@@ -36,23 +37,24 @@ def kraus_damp(rho, tau, params=GAMMA):
             ops.append(k)
         return ops
 
-    mat = rho.reshape(d * d, d * d)
+    mat = rho.reshape(d1 * d2, d1 * d2)
     out = np.zeros_like(mat)
-    for k1 in mode_kraus(params.gamma1 * tau):
-        for k2 in mode_kraus(params.gamma2 * tau):
+    for k1 in mode_kraus(params.gamma1 * tau, d1):
+        for k2 in mode_kraus(params.gamma2 * tau, d2):
             k = np.kron(k1, k2)
             out += k @ mat @ k.conj().T
-    return out.reshape(d, d, d, d)
+    return out.reshape(rho.shape)
 
 
 def damp_direct(rho, tau, params=GAMMA):
     """Second oracle: the closed-form double p-sum of the module docstring,
-    evaluated literally per (p1, p2) block; O(d^6), for small systems."""
+    evaluated literally per (p1, p2) block on rho of shape (d1, d2, d1, d2);
+    O(d1^3 d2^3), for small systems."""
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    lgfact = gammaln(np.arange(d) + 1.0)
+    d1, d2 = rho.shape[:2]
+    lgfact = gammaln(np.arange(max(d1, d2)) + 1.0)
 
-    def r_factors(g, p):
+    def r_factors(g, p, d):
         m = np.arange(d - p)
         if g == 0.0:
             return np.ones((d - p, d - p))  # only reached with p = 0
@@ -61,21 +63,22 @@ def damp_direct(rho, tau, params=GAMMA):
         return np.exp(logc[:, None] + logc[None, :] + loss - g * (m[:, None] + m[None, :]))
 
     g1, g2 = params.gamma1 * tau, params.gamma2 * tau
-    p1_max = d if g1 > 0 else 1
-    p2_max = d if g2 > 0 else 1
+    p1_max = d1 if g1 > 0 else 1
+    p2_max = d2 if g2 > 0 else 1
     out = np.zeros_like(rho)
     for p1 in range(p1_max):
-        r1 = r_factors(g1, p1)
+        r1 = r_factors(g1, p1, d1)
         for p2 in range(p2_max):
-            r2 = r_factors(g2, p2)
+            r2 = r_factors(g2, p2, d2)
             block = rho[p1:, p2:, p1:, p2:]
             w = r1[:, None, :, None] * r2[None, :, None, :]
-            out[: d - p1, : d - p2, : d - p1, : d - p2] += w * block
+            out[: d1 - p1, : d2 - p2, : d1 - p1, : d2 - p2] += w * block
     return out
 
 
-def random_pure_rho(rng, d):
-    phi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def random_pure_rho(rng, d, d2=None):
+    shape = (d, d if d2 is None else d2)
+    phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return pure_to_density(phi / np.linalg.norm(phi))
 
 
@@ -135,32 +138,38 @@ def test_matches_kraus_oracle_on_small_systems():
 
 def test_matches_direct_double_sum():
     rng = np.random.default_rng(6)
-    rho = random_pure_rho(rng, 5)
-    assert np.max(np.abs(damp(rho, 1.1) - damp_direct(rho, 1.1))) < 1e-12
+    params = ChannelParams(gamma1=0.1, gamma2=0.25)
+    for shape in ((5, 5), (3, 5), (5, 2)):
+        rho = random_pure_rho(rng, *shape)
+        assert np.max(np.abs(damp(rho, 1.1) - damp_direct(rho, 1.1))) < 1e-12
+        assert np.max(np.abs(damp(rho, 1.1, params) - damp_direct(rho, 1.1, params))) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    d=st.integers(2, 5),
+    d1=st.integers(2, 5),
+    d2=st.integers(2, 5),
     gamma1=st.floats(0.0, 1.0),
     gamma2=st.floats(0.0, 1.0),
     tau=st.floats(0.0, 3.0),
     split=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_channel_is_cptp_and_a_semigroup(d, gamma1, gamma2, tau, split, seed):
-    """Mixed input states, independent rates per mode: damp matches the Kraus
-    oracle, gives a state, and damping for tau_a then tau_b is damping for
-    tau_a + tau_b."""
+def test_channel_is_cptp_and_a_semigroup(d1, d2, gamma1, gamma2, tau, split, seed):
+    """Mixed input states, independent rates and dimensions per mode: damp
+    matches the Kraus and double-sum oracles, gives a state, and damping for
+    tau_a then tau_b is damping for tau_a + tau_b."""
     params = ChannelParams(gamma1=gamma1, gamma2=gamma2)
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    n = d1 * d2
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     mat = g @ g.conj().T
-    rho = (mat / np.trace(mat).real).reshape(d, d, d, d)
+    rho = (mat / np.trace(mat).real).reshape(d1, d2, d1, d2)
 
     out = damp(rho, tau, params)
     assert np.max(np.abs(out - kraus_damp(rho, tau, params))) < 1e-10
-    out_mat = out.reshape(d * d, d * d)
+    assert np.max(np.abs(out - damp_direct(rho, tau, params))) < 1e-10
+    out_mat = out.reshape(n, n)
     assert abs(np.trace(out_mat) - 1.0) < 1e-10
     assert np.max(np.abs(out_mat - out_mat.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(out_mat).min() >= -1e-10
@@ -220,6 +229,54 @@ def test_decay_curve_starts_at_closed_form_and_decreases():
     assert abs(values[0] - pure_state_log_negativity(phi)) < 1e-10
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
     assert all(v >= 0.0 for v in values)
+
+
+def untrimmed_curve(phi, gamma_taus, params=GAMMA):
+    """E_N on the full d x d support, with an eigensolve at every point."""
+    rho0 = pure_to_density(phi)
+    return [log_negativity(damp(rho0, g / params.gamma1, params)) for g in gamma_taus]
+
+
+# (nu, m, gamma_tau values) at the splitter time tau = 1/2: the states of the
+# benchmark's decoherence workload and of acceptance criterion 10 (the latter
+# only at the first and the last damped point of its grid, to save time)
+TRIM_CASES = [
+    *[(2.0, m, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]) for m in (0, 2, 4)],
+    *[(nu, 0, [0.3]) for nu in (1.0, 2.0, 3.0)],
+    *[(5.0, m, [0.1, 1.0]) for m in (0, 5, 10)],
+]
+
+
+@pytest.mark.parametrize("nu, m, gamma_taus", TRIM_CASES)
+def test_trimmed_curve_equals_untrimmed_reference(nu, m, gamma_taus):
+    phi = output_at_time(InitialStateSpec(nu=nu, m=m), 0.5)
+    got = [en for _, en in negativity_decay_curve(phi, gamma_taus)]
+    assert np.max(np.abs(np.subtract(got, untrimmed_curve(phi, gamma_taus)))) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nu=st.floats(0.0, 2.0),
+    m=st.integers(0, 3),
+    tau=st.floats(0.0, 1.0),
+    gamma1=st.floats(0.01, 1.0),
+    gamma2=st.floats(0.01, 1.0),
+    gamma_tau=st.floats(0.0, 2.0),
+)
+def test_trimmed_curve_equals_untrimmed_reference_property(nu, m, tau, gamma1, gamma2, gamma_tau):
+    params = ChannelParams(gamma1=gamma1, gamma2=gamma2)
+    phi = output_at_time(InitialStateSpec(nu=nu, m=m), tau)
+    gamma_taus = [0.0, gamma_tau]
+    got = [en for _, en in negativity_decay_curve(phi, gamma_taus, params)]
+    assert np.max(np.abs(np.subtract(got, untrimmed_curve(phi, gamma_taus, params)))) < 1e-10
+
+
+@pytest.mark.parametrize("nu, m", [(2.0, 0), (2.0, 2), (2.0, 4), (5.0, 0), (5.0, 5), (5.0, 10)])
+def test_undamped_eigensolve_equals_pure_state_closed_form(nu, m):
+    """negativity_decay_curve takes gamma*tau = 0 from the closed form; this
+    keeps the identity it rests on under test, on the full support."""
+    phi = output_at_time(InitialStateSpec(nu=nu, m=m), 0.5)
+    assert abs(log_negativity(pure_to_density(phi)) - pure_state_log_negativity(phi)) < 1e-10
 
 
 def test_decay_curve_vanishes_for_strong_damping():

@@ -164,9 +164,15 @@ def test_partial_transpose_rejects_unknown_mode():
         partial_transpose(rho, "x")
 
 
-def test_pure_to_density_rejects_non_square():
-    with pytest.raises(ValueError):
-        pure_to_density(np.zeros((2, 3), dtype=complex))
+def test_pure_to_density_takes_rectangular_and_rejects_non_matrix():
+    rng = np.random.default_rng(11)
+    phi = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    rho = pure_to_density(phi)
+    assert rho.shape == (2, 3, 2, 3)
+    assert np.array_equal(rho, phi[:, :, None, None] * phi.conj()[None, None, :, :])
+    for shape in ((6,), (2, 3, 1)):
+        with pytest.raises(ValueError):
+            pure_to_density(np.zeros(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("m", [0, 5])
