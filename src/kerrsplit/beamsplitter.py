@@ -17,9 +17,9 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import CutoffPolicy, FockVector, InitialStateSpec, build_initial_state
+from .fock import log_factorials
 from .kerr import kerr_evolve
 
 __all__ = ["output_at_time", "split_amplitudes", "split_with_vacuum"]
@@ -36,7 +36,7 @@ def _splitter_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
     with one zero appended: entries with p + k >= dim point at that zero and
     carry zero weight.
     """
-    lgfact = gammaln(np.arange(dim) + 1.0)
+    lgfact = log_factorials(dim)
     p, k = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
     n = p + k
     sqrt_binom = np.exp(0.5 * (lgfact[n] - lgfact[p] - lgfact[k] - n * _LN2))

@@ -6,6 +6,7 @@ few per-field overrides, and writes CSV/JSON artifacts under ``--out-dir``.
 Exit codes: 0 success, 1 invalid configuration or command line,
 2 infeasible scenario: over the dimension cap, or a numerical failure (a
 linear-algebra routine that does not converge, or a non-finite result).
+``oracle-check`` also exits 2 when a fidelity falls short of ``ORACLE_TOL``.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _cmd_oracle_check(args) -> int:
         worst = min(worst, fid)
         print(f"{'PASS' if ok else 'FAIL'}  p/q={p}/{q}  fidelity={fid:.15f}")
     print(f"worst fidelity: {worst:.15f}")
-    return 1 if failed else 0
+    return 2 if failed else 0
 
 
 _COMMANDS = {

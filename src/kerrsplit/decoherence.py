@@ -39,10 +39,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .entanglement import log_negativity, pure_state_log_negativity, pure_to_density
-from .fock import DEFAULT_DIM_CAP, check_dim_cap, check_real
+from .fock import DEFAULT_DIM_CAP, check_dim_cap, check_real, log_factorials
 
 __all__ = [
     "ChannelParams",
@@ -84,7 +83,7 @@ def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
     if g == 0.0:
         return rho
     d = rho.shape[axes[0]]
-    lgfact = gammaln(np.arange(d) + 1.0)
+    lgfact = log_factorials(d)
     log_loss = math.log(-math.expm1(-2.0 * g))  # ln(1 - exp(-2g))
     p, m = np.ogrid[:d, :d]
     # a[p, m] = a_p[m]; only entries with m + p < d are ever read

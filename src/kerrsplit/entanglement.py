@@ -9,6 +9,8 @@ Entropies are in bits (log base 2).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -36,13 +38,18 @@ def schmidt_spectrum(phi: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(lambdas: np.ndarray) -> float:
-    """-sum(lam * log2 lam) over the spectrum, skipping the 0*log(0) limit.
+    """-sum(lam * log2 lam) over the spectrum divided by its sum, skipping the
+    0*log(0) limit; NaN for a spectrum that is not finite.
 
-    A rank-1 spectrum whose leading weight rounds to just above 1 would give
-    a roundoff-level negative sum; the result is clipped at 0 (also turning
-    -0.0 into 0.0).
+    Schmidt weights of a unit vector sum to 1, so dividing makes the leading
+    weight of a rank-1 spectrum exactly 1.  The result is clipped at 0 (also
+    turning -0.0 into 0.0).
     """
     lam = np.asarray(lambdas, dtype=float)
+    total = lam.sum()  # not finite when any weight is not
+    if not math.isfinite(total):
+        return math.nan
+    lam = lam / total
     lam = lam[lam > _ENTROPY_FLOOR]
     return max(0.0, float(-np.sum(lam * np.log2(lam))))
 
@@ -88,9 +95,12 @@ def log_negativity(rho: np.ndarray, mode: str = "c") -> float:
     """log2 of the trace norm of the partial transpose, clipped at 0.
 
     For a Hermitian operator the trace norm is the sum of absolute
-    eigenvalues; magnitudes below 1e-12 are discarded as roundoff.
+    eigenvalues; magnitudes below 1e-12 are discarded as roundoff.  NaN when
+    the eigenvalues are not finite.
     """
     eig = np.linalg.eigvalsh(_flatten(partial_transpose(rho, mode)))
+    if not np.isfinite(eig).all():
+        return math.nan
     mags = np.abs(eig)
     trace_norm = float(mags[mags > _TRACE_NORM_FLOOR].sum())
     if trace_norm <= 0.0:

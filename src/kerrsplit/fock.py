@@ -4,7 +4,7 @@ Everything downstream (Kerr evolution, beam splitting, phase-space maps)
 operates on the complex amplitude vectors built here.  Constructors
 renormalize over the truncated basis and refuse cutoffs that would silently
 drop more than ``tail_tol`` of probability mass.  Factorials and binomials
-are handled in log space so levels around n = 100 stay finite.
+are in log space, from ``log_factorials``, so levels near n = 100 stay finite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -29,6 +28,7 @@ __all__ = [
     "coherent_state",
     "fock_state",
     "inner_product",
+    "log_factorials",
     "photon_added_coherent_state",
 ]
 
@@ -137,14 +137,19 @@ class FockVector:
         return float(np.dot(np.arange(len(probs)), probs))
 
 
+def log_factorials(count: int) -> np.ndarray:
+    """ln n! for n = 0..count-1."""
+    return np.array([math.lgamma(n + 1.0) for n in range(count)])
+
+
 def _log_level_weights(nu: float, m: int, count: int) -> np.ndarray:
     """Log of the unnormalized occupation weights at Fock levels m..m+count-1.
 
     weight_n = nu^n * (n+m)! / (n!)^2 * exp(-nu); for m = 0 this is the
     Poisson distribution with mean nu.
     """
-    n = np.arange(count)
-    return -nu + n * math.log(nu) + gammaln(n + m + 1) - 2.0 * gammaln(n + 1)
+    lgfact = log_factorials(count + m)
+    return -nu + np.arange(count) * math.log(nu) + lgfact[m:] - 2.0 * lgfact[:count]
 
 
 def _converged_weights(nu: float, m: int, tail_tol: float) -> np.ndarray:
@@ -184,7 +189,7 @@ def _coherent_amplitudes(gamma: complex, n_cut: int) -> np.ndarray:
         amps = np.zeros(n_cut + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    log_mag = -0.5 * g * g + n * math.log(g) - 0.5 * gammaln(n + 1)
+    log_mag = -0.5 * g * g + n * math.log(g) - 0.5 * log_factorials(n_cut + 1)
     return np.exp(log_mag + 1j * n * np.angle(gamma))
 
 
@@ -227,13 +232,7 @@ def photon_added_coherent_state(
         amps[m] = 1.0
         return FockVector(amps)
     n = np.arange(n_cut - m + 1)
-    log_mag = (
-        -0.5 * spec.nu
-        + 0.5 * n * math.log(spec.nu)
-        + 0.5 * gammaln(n + m + 1)
-        - gammaln(n + 1)
-    )
-    amps[m:] = np.exp(log_mag + 1j * n * spec.theta)
+    amps[m:] = np.exp(0.5 * _log_level_weights(spec.nu, m, len(n)) + 1j * n * spec.theta)
     w = _converged_weights(spec.nu, m, policy.tail_tol)
     tail = 1.0 - float(np.sum(w[: n_cut - m + 1])) / float(w.sum())
     if tail > policy.tail_tol:

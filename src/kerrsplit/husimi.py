@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fock import FockVector
+from .fock import FockVector, log_factorials
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -88,8 +87,7 @@ def husimi_q(
         half_width = default_half_width(state.mean_photon_number())
     x = p = np.linspace(-half_width, half_width, resolution)
 
-    n = np.arange(len(state.amplitudes))
-    coeff = state.amplitudes * np.exp(-0.5 * gammaln(n + 1))
+    coeff = state.amplitudes * np.exp(-0.5 * log_factorials(len(state.amplitudes)))
     z = (x[:, None] - 1j * p[None, :]) / math.sqrt(2.0)  # conj(beta)
     acc = np.zeros_like(z)
     for c in coeff[::-1]:
@@ -147,13 +145,19 @@ def count_peaks(grid: PhaseSpaceGrid, rel_threshold: float = 0.1) -> int:
     return len(prominent_summits(grid.values, rel_threshold * top))
 
 
+def _formatted(values: np.ndarray) -> list[str]:
+    """Each entry of a 1-D array as ``.12g`` text.  The writers format one
+    x-row of Q at a time, which keeps their memory at one row."""
+    return list(map("{:.12g}".format, values.tolist()))
+
+
 def write_grid_csv(grid: PhaseSpaceGrid, path) -> None:
     """One (x, p, Q) row per grid point, x-major."""
+    ps = _formatted(grid.p)
     with open(path, "w", newline="") as fh:
         fh.write("x,p,Q\n")
-        for i, xv in enumerate(grid.x):
-            for j, pv in enumerate(grid.p):
-                fh.write(f"{xv:.12g},{pv:.12g},{grid.values[i, j]:.12g}\n")
+        for xv, row in zip(_formatted(grid.x), grid.values):
+            fh.write("".join(f"{xv},{pv},{q}\n" for pv, q in zip(ps, _formatted(row))))
 
 
 def write_grid_matrix(grid: PhaseSpaceGrid, path) -> None:
@@ -167,4 +171,4 @@ def write_grid_matrix(grid: PhaseSpaceGrid, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         for row in grid.values:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+            fh.write(",".join(_formatted(row)) + "\n")

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from kerrsplit import fock
+from kerrsplit import cli, fock
 from kerrsplit.cli import main
 
 
@@ -18,6 +18,13 @@ def test_oracle_check_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_oracle_check_failure_exits_2(monkeypatch, capsys):
+    # a failed fidelity is a numerical failure, not a config error
+    monkeypatch.setattr(cli, "oracle_fidelity", lambda nu, p, q: 0.5)
+    assert run_cli(["oracle-check", "--nu", "5"]) == 2
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_entropy_command_writes_artifacts(tmp_path, capsys):
@@ -232,7 +239,7 @@ def _raise_linalg_error(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
 
 
-def _nan_singular_values(a, *args, **kwargs):
+def _nan_spectrum(a, *args, **kwargs):
     return np.full(np.shape(a)[:-1], np.nan)
 
 
@@ -244,7 +251,11 @@ NUMERICAL_FAILURES = {
     "svd-raises-on-entropy": (["entropy", "--nu", "1", "--tau-steps", "5"], "svd",
                               _raise_linalg_error),
     "svd-gives-nan-on-decohere": (["decohere", "--config", "cfg.json"], "svd",
-                                  _nan_singular_values),
+                                  _nan_spectrum),
+    "svd-gives-nan-on-entropy": (["entropy", "--nu", "1", "--tau-steps", "3"], "svd",
+                                 _nan_spectrum),
+    "eigvalsh-gives-nan-on-decohere": (["decohere", "--config", "cfg.json"], "eigvalsh",
+                                       _nan_spectrum),
 }
 
 

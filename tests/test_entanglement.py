@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kerrsplit.beamsplitter import output_at_time, split_with_vacuum
 from kerrsplit.entanglement import (
@@ -13,7 +14,7 @@ from kerrsplit.entanglement import (
     schmidt_spectrum,
     von_neumann_entropy,
 )
-from kerrsplit.fock import InitialStateSpec, fock_state
+from kerrsplit.fock import InitialStateSpec, choose_cutoff, fock_state
 
 
 def bell_like():
@@ -188,3 +189,48 @@ def test_entropy_is_never_negative_at_revivals(m, tau):
 def test_entropy_of_rounded_rank_one_spectrum_is_zero():
     # a leading weight just above 1 would give -6.4e-16 unclipped
     assert von_neumann_entropy(np.array([1.0 + 4.4e-16, 1e-20])) == 0.0
+
+
+def test_non_finite_spectra_give_nan(monkeypatch):
+    assert math.isnan(von_neumann_entropy(np.array([0.5, np.nan, 0.5])))
+    assert math.isnan(von_neumann_entropy(np.array([np.inf, 0.0])))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
+    assert math.isnan(log_negativity(pure_to_density(bell_like())))
+
+
+# Exact symmetries of E(tau) for the split Kerr state: n(n-1) is even, so tau
+# has period 1; the state at 1 - tau is the conjugate of the state at tau up
+# to the rotation exp(2i*theta*N), which the splitter turns into a local one,
+# so E is symmetric about tau = 1/2 and independent of theta.
+_E_TOL = 1e-12
+_inputs = dict(nu=st.floats(0.0, 15.0), m=st.integers(0, 5), theta=st.floats(0.0, 1.0),
+               tau=st.floats(0.0, 1.0))
+
+
+def _entropy_at(nu, m, theta, tau):
+    return entanglement_entropy(output_at_time(InitialStateSpec(nu=nu, theta=theta, m=m), tau))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_inputs)
+def test_entropy_has_period_one(nu, m, theta, tau):
+    assert abs(_entropy_at(nu, m, theta, tau + 1.0) - _entropy_at(nu, m, theta, tau)) <= _E_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_inputs)
+def test_entropy_is_symmetric_about_half_revival(nu, m, theta, tau):
+    assert abs(_entropy_at(nu, m, theta, 1.0 - tau) - _entropy_at(nu, m, theta, tau)) <= _E_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_inputs)
+def test_entropy_does_not_depend_on_theta(nu, m, theta, tau):
+    assert abs(_entropy_at(nu, m, theta, tau) - _entropy_at(nu, m, 0.0, tau)) <= _E_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_inputs)
+def test_entropy_lies_between_zero_and_log2_d(nu, m, theta, tau):
+    d = choose_cutoff(nu, m) + 1
+    assert 0.0 <= _entropy_at(nu, m, theta, tau) <= math.log2(d)

@@ -14,6 +14,7 @@ from kerrsplit.fock import (
     coherent_state,
     fock_state,
     inner_product,
+    log_factorials,
     photon_added_coherent_state,
 )
 
@@ -173,3 +174,11 @@ def test_fock_vector_is_read_only():
     st = fock_state(1, 3)
     with pytest.raises(ValueError):
         st.amplitudes[0] = 1.0
+
+
+def test_log_factorials_match_exact_factorials():
+    table = log_factorials(171)
+    assert len(table) == 171 and table[0] == table[1] == 0.0
+    exact = np.array([math.log(math.factorial(n)) for n in range(171)])
+    assert np.allclose(table, exact, rtol=1e-15, atol=0.0)
+    assert len(log_factorials(0)) == 0

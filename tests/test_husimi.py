@@ -213,12 +213,14 @@ def test_prominent_summits_ties_plateaus_and_edges():
 
 
 def test_importing_the_cli_leaves_out_scipy_ndimage():
-    # scipy.ndimage costs 0.06-0.1 s to import; only peak and minimum
-    # detection need it, so it must stay out of every command's start-up.
-    code = "import sys, kerrsplit.cli; print('scipy.ndimage' in sys.modules)"
+    # scipy.ndimage costs 0.06-0.1 s to import and scipy.special 0.16-0.19 s;
+    # only peak and minimum detection need scipy at all, so no scipy module
+    # may join any command's start-up.
+    code = ("import sys, kerrsplit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_husimi_validation():
