@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from kerrsplit.fock import InitialStateSpec, choose_cutoff, coherent_state
+from kerrsplit.fock import InitialStateSpec, build_initial_state
 from kerrsplit.kerr import (
     fractional_revival_superposition,
     kerr_evolve,
@@ -40,9 +40,8 @@ def main():
     for c, g in zip(sup.coefficients, sup.centers):
         print(f"  coefficient {c:+.4f}  ->  center {g:+.4f}")
 
-    n_cut = choose_cutoff(NU, 0)
-    direct = kerr_evolve(coherent_state(InitialStateSpec(nu=NU), n_cut), 0.5)
-    rebuilt = reconstruct_fock(sup, n_cut)
+    direct = kerr_evolve(build_initial_state(InitialStateSpec(nu=NU)), 0.5)
+    rebuilt = reconstruct_fock(sup, direct.n_cut)
     print(f"max |amplitude difference| = "
           f"{np.max(np.abs(direct.amplitudes - rebuilt.amplitudes)):.2e}")
 

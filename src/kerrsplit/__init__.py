@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .beamsplitter import output_at_time, split_amplitudes, split_with_vacuum
 from .decoherence import ChannelParams, damp, negativity_decay_curve
 from .entanglement import (
-    entanglement_entropies,
     entanglement_entropy,
     log_negativity,
     partial_transpose,
@@ -24,10 +23,8 @@ from .fock import (
     InitialStateSpec,
     build_initial_state,
     choose_cutoff,
-    coherent_state,
     fock_state,
     inner_product,
-    photon_added_coherent_state,
 )
 from .husimi import (
     PhaseSpaceGrid,

@@ -24,11 +24,12 @@ row and column levels of the i-th entry on the offset) times the block of
 rho on that offset.
 
 ``negativity_decay_curve`` runs at the state's natural size.  A mode keeps
-the leading levels whose marginal photon-number mass beyond them is at most
-``_TAIL``: phi is trimmed by the marginals of |phi|^2 before rho is built,
-and each damped rho again by its diagonal marginals before the partial
-transpose (loss only lowers photon numbers).  The error in E_N is
-O(sqrt(_TAIL)) by the gentle-measurement lemma (Winter 1999).  At
+the fewest leading levels whose marginal photon-number mass beyond them is
+below ``_TAIL`` of the total, by the tail rule that also sets the Fock
+cutoff (``fock._kept_levels``): phi is trimmed by the marginals of |phi|^2
+before rho is built, and each damped rho again by its diagonal marginals
+before the partial transpose (loss only lowers photon numbers).  The error
+in E_N is O(sqrt(_TAIL)) by the gentle-measurement lemma (Winter 1999).  At
 gamma*tau = 0 the state is pure and E_N is the closed form
 ``pure_state_log_negativity`` of the untrimmed phi, so no eigensolve runs.
 """
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import log_negativity, pure_state_log_negativity, pure_to_density
-from .fock import DEFAULT_DIM_CAP, check_dim_cap, check_real, log_factorials
+from .fock import DEFAULT_DIM_CAP, _kept_levels, check_dim_cap, check_real, log_factorials
 
 __all__ = [
     "ChannelParams",
@@ -49,7 +50,7 @@ __all__ = [
     "negativity_decay_curve",
 ]
 
-# photon-number mass a mode may drop beyond its kept levels
+# share of a mode's photon-number mass it may drop beyond its kept levels
 _TAIL = 1e-20
 
 
@@ -64,13 +65,6 @@ class ChannelParams:
         for name in ("gamma1", "gamma2"):
             if check_real(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-
-
-def _kept_levels(marginal: np.ndarray) -> int:
-    """How many leading levels of a mode to keep: the fewest whose marginal
-    photon-number mass beyond them is <= _TAIL (at least one)."""
-    beyond = np.cumsum(marginal[:0:-1])[::-1]  # beyond[k]: mass above level k
-    return int(np.count_nonzero(beyond > _TAIL)) + 1
 
 
 def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
@@ -148,7 +142,7 @@ def negativity_decay_curve(
     if any(g > 0 for g in gamma_tau_values) and params.gamma1 <= 0:
         raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")
     mass = np.abs(phi) ** 2
-    n1, n2 = _kept_levels(mass.sum(axis=1)), _kept_levels(mass.sum(axis=0))
+    n1, n2 = _kept_levels(mass.sum(axis=1), _TAIL), _kept_levels(mass.sum(axis=0), _TAIL)
     rho0 = pure_to_density(phi[:n1, :n2])
     curve = []
     for g in gamma_tau_values:
@@ -156,7 +150,7 @@ def negativity_decay_curve(
             curve.append((g, pure_state_log_negativity(phi)))
             continue
         rho = damp(rho0, g / params.gamma1, params, dim_cap)
-        n1 = _kept_levels(np.einsum("abab->a", rho).real)
-        n2 = _kept_levels(np.einsum("abab->b", rho).real)
+        n1 = _kept_levels(np.einsum("abab->a", rho).real, _TAIL)
+        n2 = _kept_levels(np.einsum("abab->b", rho).real, _TAIL)
         curve.append((g, log_negativity(rho[:n1, :n2, :n1, :n2])))
     return curve

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "entanglement_entropies",
     "entanglement_entropy",
     "log_negativity",
     "partial_transpose",
@@ -37,32 +36,29 @@ def schmidt_spectrum(phi: np.ndarray) -> np.ndarray:
     return s * s
 
 
-def von_neumann_entropy(lambdas: np.ndarray) -> float:
-    """-sum(lam * log2 lam) over the spectrum divided by its sum, skipping the
-    0*log(0) limit; NaN for a spectrum that is not finite.
+def von_neumann_entropy(lambdas: np.ndarray) -> float | np.ndarray:
+    """-sum(lam * log2 lam) over each spectrum, the last axis, divided by its
+    sum, skipping the 0*log(0) limit; NaN for a spectrum that is not finite.
 
-    Schmidt weights of a unit vector sum to 1, so dividing makes the leading
-    weight of a rank-1 spectrum exactly 1.  The result is clipped at 0 (also
-    turning -0.0 into 0.0).
+    A float for one spectrum, an array for a (..., d) stack.  Schmidt weights
+    of a unit vector sum to 1, so dividing makes the leading weight of a
+    rank-1 spectrum exactly 1.  The result is clipped at 0 (also turning -0.0
+    into 0.0).
     """
     lam = np.asarray(lambdas, dtype=float)
-    total = lam.sum()  # not finite when any weight is not
-    if not math.isfinite(total):
-        return math.nan
-    lam = lam / total
-    lam = lam[lam > _ENTROPY_FLOOR]
-    return max(0.0, float(-np.sum(lam * np.log2(lam))))
+    total = lam.sum(axis=-1, keepdims=True)  # not finite when any weight is not
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = lam / total
+        terms = np.where(lam > _ENTROPY_FLOOR, lam * np.log2(lam), 0.0)
+    entropy = np.maximum(0.0, 0.0 - terms.sum(axis=-1))  # 0.0 - 0.0 is +0.0, -(0.0) is not
+    entropy = np.where(np.isfinite(total[..., 0]), entropy, np.nan)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def entanglement_entropy(phi: np.ndarray) -> float:
-    """Entropy of entanglement (ebits) of a pure two-mode amplitude matrix."""
+def entanglement_entropy(phi: np.ndarray) -> float | np.ndarray:
+    """Entropy of entanglement (ebits) of a pure two-mode amplitude matrix;
+    one per matrix, from one batched SVD, for a (T, d, d) stack."""
     return von_neumann_entropy(schmidt_spectrum(phi))
-
-
-def entanglement_entropies(phis: np.ndarray) -> np.ndarray:
-    """``entanglement_entropy`` of each matrix in a (T, d, d) stack, from one
-    batched SVD."""
-    return np.array([von_neumann_entropy(lam) for lam in schmidt_spectrum(phis)])
 
 
 def pure_to_density(phi: np.ndarray) -> np.ndarray:
@@ -96,9 +92,12 @@ def log_negativity(rho: np.ndarray, mode: str = "c") -> float:
 
     For a Hermitian operator the trace norm is the sum of absolute
     eigenvalues; magnitudes below 1e-12 are discarded as roundoff.  NaN when
-    the eigenvalues are not finite.
+    rho or the eigenvalues are not finite.
     """
-    eig = np.linalg.eigvalsh(_flatten(partial_transpose(rho, mode)))
+    flat = _flatten(partial_transpose(rho, mode))
+    if not np.isfinite(flat).all():
+        return math.nan
+    eig = np.linalg.eigvalsh(flat)
     if not np.isfinite(eig).all():
         return math.nan
     mags = np.abs(eig)

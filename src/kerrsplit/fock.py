@@ -1,10 +1,13 @@
 """Single-mode pure states in a truncated Fock basis.
 
 Everything downstream (Kerr evolution, beam splitting, phase-space maps)
-operates on the complex amplitude vectors built here.  Constructors
-renormalize over the truncated basis and refuse cutoffs that would silently
-drop more than ``tail_tol`` of probability mass.  Factorials and binomials
-are in log space, from ``log_factorials``, so levels near n = 100 stay finite.
+operates on the complex amplitude vectors built here.  One builder,
+``build_initial_state``, makes every input, coherent or photon-added, and
+renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
+(the fewest leading levels that hold all but a tail of the weight), sets the
+cutoff, refuses a cutoff that would drop ``tail_tol`` of the state, and
+trims each output mode in ``decoherence``.  Factorials and binomials are in
+log space, from ``log_factorials``, so levels near n = 100 stay finite.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ __all__ = [
     "InitialStateSpec",
     "build_initial_state",
     "choose_cutoff",
-    "coherent_state",
     "fock_state",
     "inner_product",
     "log_factorials",
-    "photon_added_coherent_state",
 ]
 
 
@@ -153,7 +154,10 @@ def _log_level_weights(nu: float, m: int, count: int) -> np.ndarray:
 
 
 def _converged_weights(nu: float, m: int, tail_tol: float) -> np.ndarray:
-    """Occupation weights summed far enough that the remainder is irrelevant."""
+    """Occupation weights summed far enough that the remainder is irrelevant;
+    [1] at nu = 0, where the state is |m>."""
+    if nu == 0:
+        return np.ones(1)
     count = max(64, int(nu + 12.0 * math.sqrt(nu)) + m + 32)
     while True:
         logw = _log_level_weights(nu, m, count)
@@ -161,6 +165,13 @@ def _converged_weights(nu: float, m: int, tail_tol: float) -> np.ndarray:
         if logw[-1] < floor and logw[-1] < logw[-2]:
             return np.exp(logw - logw.max())
         count *= 2
+
+
+def _kept_levels(weights: np.ndarray, tail: float) -> int:
+    """The fewest leading levels whose weight beyond them, as a fraction of
+    the total, is below ``tail``; at least one."""
+    beyond = np.cumsum(weights[:0:-1])[::-1] / weights.sum()  # beyond[k]: above level k
+    return int(np.count_nonzero(beyond >= tail)) + 1
 
 
 def choose_cutoff(nu: float, m: int, policy: CutoffPolicy = CutoffPolicy()) -> int:
@@ -172,13 +183,8 @@ def choose_cutoff(nu: float, m: int, policy: CutoffPolicy = CutoffPolicy()) -> i
     """
     if nu < 0 or m < 0:
         raise ValueError("nu and m must be non-negative")
-    if nu == 0:
-        return m + policy.safety_margin
     w = _converged_weights(nu, m, policy.tail_tol)
-    suffix = np.cumsum(w[::-1])[::-1]
-    tails = suffix[1:] / w.sum()
-    j = int(np.argmax(tails < policy.tail_tol))
-    return m + j + policy.safety_margin
+    return m + _kept_levels(w, policy.tail_tol) - 1 + policy.safety_margin
 
 
 def _coherent_amplitudes(gamma: complex, n_cut: int) -> np.ndarray:
@@ -193,67 +199,35 @@ def _coherent_amplitudes(gamma: complex, n_cut: int) -> np.ndarray:
     return np.exp(log_mag + 1j * n * np.angle(gamma))
 
 
-def coherent_state(
-    spec: InitialStateSpec, n_cut: int, policy: CutoffPolicy = CutoffPolicy()
-) -> FockVector:
-    """Coherent state amplitudes exp(-nu/2) * alpha^n / sqrt(n!), renormalized.
-
-    Raises CutoffTooSmallError when the dropped tail exceeds the policy's
-    tail_tol (the untruncated state has unit norm, so the tail is
-    1 - sum of retained probabilities).
-    """
-    if spec.m != 0:
-        raise ValueError("coherent_state requires m = 0; use photon_added_coherent_state")
-    amps = _coherent_amplitudes(spec.alpha, n_cut)
-    retained = float(np.sum(np.abs(amps) ** 2))
-    if 1.0 - retained > policy.tail_tol:
-        raise CutoffTooSmallError(
-            f"n_cut={n_cut} keeps only {retained:.15g} of the state "
-            f"(tail {1.0 - retained:.3e} > tail_tol {policy.tail_tol:.3e})"
-        )
-    return FockVector(amps / math.sqrt(retained))
-
-
-def photon_added_coherent_state(
-    spec: InitialStateSpec, n_cut: int, policy: CutoffPolicy = CutoffPolicy()
-) -> FockVector:
-    """m-photon-added coherent state: m creation operators applied to |alpha>.
-
-    Unnormalized amplitude at level n+m is
-    exp(-nu/2) * alpha^n * sqrt((n+m)!) / n!, zero below level m; the overall
-    constant is fixed numerically over the truncated basis, which is exact
-    there and needs no special-function expression.
-    """
-    m = spec.m
-    if n_cut < m:
-        raise CutoffTooSmallError(f"n_cut={n_cut} cannot hold m={m} added photons")
-    amps = np.zeros(n_cut + 1, dtype=complex)
-    if spec.nu == 0.0:
-        amps[m] = 1.0
-        return FockVector(amps)
-    n = np.arange(n_cut - m + 1)
-    amps[m:] = np.exp(0.5 * _log_level_weights(spec.nu, m, len(n)) + 1j * n * spec.theta)
-    w = _converged_weights(spec.nu, m, policy.tail_tol)
-    tail = 1.0 - float(np.sum(w[: n_cut - m + 1])) / float(w.sum())
-    if tail > policy.tail_tol:
-        raise CutoffTooSmallError(
-            f"n_cut={n_cut} drops tail {tail:.3e} > tail_tol {policy.tail_tol:.3e} "
-            f"for nu={spec.nu}, m={m}"
-        )
-    return FockVector(amps / np.linalg.norm(amps))
-
-
 def build_initial_state(
     spec: InitialStateSpec,
     n_cut: int | None = None,
     policy: CutoffPolicy = CutoffPolicy(),
 ) -> FockVector:
-    """Construct the configured input state, choosing the cutoff if not given."""
+    """The input state over levels 0..n_cut, renormalized there: m creation
+    operators applied to |alpha> (m = 0 is the coherent state itself).
+
+    The unnormalized amplitude at level n+m is
+    exp(-nu/2) * alpha^n * sqrt((n+m)!) / n!, zero below level m; at nu = 0
+    the state is |m>.  The cutoff is chosen when not given.  Raises
+    CutoffTooSmallError when levels 0..n_cut drop ``tail_tol`` or more of
+    the occupation weight, which includes n_cut < m.
+    """
+    nu, m = spec.nu, spec.m
     if n_cut is None:
-        n_cut = choose_cutoff(spec.nu, spec.m, policy)
-    if spec.m == 0:
-        return coherent_state(spec, n_cut, policy)
-    return photon_added_coherent_state(spec, n_cut, policy)
+        n_cut = choose_cutoff(nu, m, policy)
+    if _kept_levels(_converged_weights(nu, m, policy.tail_tol), policy.tail_tol) > n_cut - m + 1:
+        raise CutoffTooSmallError(
+            f"n_cut={n_cut} drops tail_tol {policy.tail_tol:.3e} or more of the state "
+            f"for nu={nu}, m={m}"
+        )
+    amps = np.zeros(n_cut + 1, dtype=complex)
+    if nu == 0.0:
+        amps[m] = 1.0
+        return FockVector(amps)
+    n = np.arange(n_cut - m + 1)
+    amps[m:] = np.exp(0.5 * _log_level_weights(nu, m, len(n)) + 1j * n * spec.theta)
+    return FockVector(amps / np.linalg.norm(amps))
 
 
 def fock_state(n: int, n_cut: int) -> FockVector:

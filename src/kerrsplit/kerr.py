@@ -21,8 +21,7 @@ from .fock import (
     FockVector,
     InitialStateSpec,
     _coherent_amplitudes,
-    choose_cutoff,
-    coherent_state,
+    build_initial_state,
     inner_product,
 )
 
@@ -166,7 +165,7 @@ def oracle_fidelity(
     roundoff is the expected outcome for every coprime (p, q).
     """
     spec = InitialStateSpec(nu=nu, theta=theta)
-    n_cut = choose_cutoff(nu, 0, policy)
-    direct = kerr_evolve(coherent_state(spec, n_cut, policy), p / q)
-    rebuilt = reconstruct_fock(fractional_revival_superposition(spec.alpha, p, q), n_cut, policy)
+    direct = kerr_evolve(build_initial_state(spec, policy=policy), p / q)
+    sup = fractional_revival_superposition(spec.alpha, p, q)
+    rebuilt = reconstruct_fock(sup, direct.n_cut, policy)
     return abs(inner_product(rebuilt, direct))

@@ -26,7 +26,7 @@ from . import __version__
 
 from .beamsplitter import output_at_time, split_amplitudes
 from .decoherence import ChannelParams, negativity_decay_curve
-from .entanglement import entanglement_entropies
+from .entanglement import entanglement_entropy
 from .fock import (
     DEFAULT_DIM_CAP,
     CutoffPolicy,
@@ -268,7 +268,7 @@ def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
     out = np.empty(len(taus))
     for start in range(0, len(taus), block):
         rows = amplitudes * kerr_phases(d, taus[start:start + block])
-        out[start:start + block] = entanglement_entropies(split_amplitudes(rows))
+        out[start:start + block] = entanglement_entropy(split_amplitudes(rows))
     _check_finite(out, f"entropy of (nu={spec.nu:g}, m={spec.m})")
     return out
 

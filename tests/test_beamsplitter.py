@@ -9,8 +9,8 @@ from kerrsplit.fock import (
     FockVector,
     InitialStateSpec,
     _coherent_amplitudes,
+    build_initial_state,
     choose_cutoff,
-    coherent_state,
     fock_state,
 )
 
@@ -37,7 +37,7 @@ def test_vacuum_in_vacuum_out():
 
 def test_coherent_input_gives_exact_product_state():
     n_cut = choose_cutoff(5.0, 0)
-    st = coherent_state(InitialStateSpec(nu=5.0), n_cut)
+    st = build_initial_state(InitialStateSpec(nu=5.0), n_cut)
     phi = split_with_vacuum(st)
     alpha = InitialStateSpec(nu=5.0).alpha
     c_mode = _coherent_amplitudes(alpha / math.sqrt(2.0), n_cut)
@@ -86,7 +86,7 @@ def test_photon_number_conservation():
 
 
 def test_exchange_symmetry_of_magnitudes():
-    st = coherent_state(InitialStateSpec(nu=3.0), choose_cutoff(3.0, 0))
+    st = build_initial_state(InitialStateSpec(nu=3.0), choose_cutoff(3.0, 0))
     phi = split_with_vacuum(st)
     assert np.max(np.abs(np.abs(phi) - np.abs(phi).T)) < 1e-14
 
@@ -96,7 +96,7 @@ def test_reflection_phase_cannot_change_entanglement():
     n_cut = choose_cutoff(5.0, 0)
     from kerrsplit.kerr import kerr_evolve
 
-    state = kerr_evolve(coherent_state(spec, n_cut), 0.37)
+    state = kerr_evolve(build_initial_state(spec, n_cut), 0.37)
     with_phase = split_with_vacuum(state)
     without_phase = split_without_reflection_phase(state)
     assert abs(entanglement_entropy(with_phase) - entanglement_entropy(without_phase)) < 1e-12

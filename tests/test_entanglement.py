@@ -194,6 +194,13 @@ def test_entropy_of_rounded_rank_one_spectrum_is_zero():
 def test_non_finite_spectra_give_nan(monkeypatch):
     assert math.isnan(von_neumann_entropy(np.array([0.5, np.nan, 0.5])))
     assert math.isnan(von_neumann_entropy(np.array([np.inf, 0.0])))
+    stack = np.array([[0.5, 0.5], [np.nan, 0.5], [1.0, 0.0]])
+    got = von_neumann_entropy(stack)
+    assert np.isnan(got).tolist() == [False, True, False]
+    assert got[0] == 1.0 and got[2] == 0.0
+    rho = pure_to_density(bell_like())
+    rho[0, 0, 0, 0] = np.nan
+    assert math.isnan(log_negativity(rho))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
     assert math.isnan(log_negativity(pure_to_density(bell_like())))
 

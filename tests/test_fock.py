@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from kerrsplit.fock import (
     CutoffPolicy,
@@ -9,13 +10,12 @@ from kerrsplit.fock import (
     FockVector,
     InitialStateSpec,
     _coherent_amplitudes,
+    _kept_levels,
     build_initial_state,
     choose_cutoff,
-    coherent_state,
     fock_state,
     inner_product,
     log_factorials,
-    photon_added_coherent_state,
 )
 
 
@@ -31,6 +31,51 @@ def brute_force_poisson_cutoff(nu, tol):
         n += 1
         term *= nu / n
         total += term
+
+
+def brute_force_pacs_cutoff(nu, m, tol):
+    """Independent oracle for m added photons: smallest N with the occupation
+    mass above level m+N below tol, summing the weights term by term with the
+    ratio nu(n+m+1)/(n+1)^2 and normalizing by the closed form
+    sum_n nu^n (n+m)!/(n!)^2 = e^nu m! L_m(-nu)."""
+    laguerre = sum(math.comb(m, k) * nu**k / math.factorial(k) for k in range(m + 1))
+    term = math.exp(-nu) / laguerre
+    total = term
+    n = 0
+    while True:
+        if 1.0 - total < tol:
+            return m + n
+        term *= nu * (n + m + 1) / (n + 1) ** 2
+        total += term
+        n += 1
+
+
+def plain_kept_levels(weights, tail):
+    """Oracle for ``_kept_levels``: drop levels from the top while the mass
+    dropped stays below ``tail`` of the total."""
+    total = np.sum(weights)
+    beyond = 0.0
+    for k in range(len(weights) - 1, 0, -1):  # keeping k levels drops weights[k:]
+        beyond += weights[k]
+        if beyond / total >= tail:
+            return k + 1
+    return 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=strategies.lists(strategies.floats(0.0, 1e3), min_size=1, max_size=40),
+       tail=strategies.floats(1e-20, 0.99))
+def test_kept_levels_matches_plain_loop(weights, tail):
+    assume(sum(weights) > 0.0)
+    w = np.array(weights)
+    assert _kept_levels(w, tail) == plain_kept_levels(w, tail)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("nu", [0.3, 5.0, 20.0])
+def test_choose_cutoff_matches_pacs_tail_sum(nu, m):
+    policy = CutoffPolicy(tail_tol=1e-12, safety_margin=0)
+    assert choose_cutoff(nu, m, policy) == brute_force_pacs_cutoff(nu, m, 1e-12)
 
 
 def test_choose_cutoff_vacuum_and_fock():
@@ -69,14 +114,14 @@ def test_initial_state_spec():
 
 
 def test_vacuum_coherent_state():
-    st = coherent_state(InitialStateSpec(nu=0.0), 4)
+    st = build_initial_state(InitialStateSpec(nu=0.0), 4)
     assert st.amplitudes[0] == 1.0
     assert np.all(st.amplitudes[1:] == 0.0)
 
 
 def test_coherent_state_poisson_weight():
     # |amplitude_5|^2 = e^-5 5^5/5! for nu = 5
-    st = coherent_state(InitialStateSpec(nu=5.0), choose_cutoff(5.0, 0))
+    st = build_initial_state(InitialStateSpec(nu=5.0), choose_cutoff(5.0, 0))
     expected = math.exp(-5.0) * 5.0**5 / math.factorial(5)
     assert abs(abs(st.amplitudes[5]) ** 2 - expected) < 1e-13
 
@@ -84,54 +129,56 @@ def test_coherent_state_poisson_weight():
 @pytest.mark.parametrize("nu", [0.7, 5.0, 20.0])
 def test_coherent_state_norm_and_mean(nu):
     policy = CutoffPolicy()
-    st = coherent_state(InitialStateSpec(nu=nu), choose_cutoff(nu, 0, policy), policy)
+    st = build_initial_state(InitialStateSpec(nu=nu), choose_cutoff(nu, 0, policy), policy)
     assert abs(st.norm() - 1.0) < 1e-12
     assert abs(st.mean_photon_number() - nu) < 10 * policy.tail_tol
 
 
 def test_coherent_state_cutoff_too_small():
     with pytest.raises(CutoffTooSmallError):
-        coherent_state(InitialStateSpec(nu=5.0), 6)
+        build_initial_state(InitialStateSpec(nu=5.0), 6)
 
 
 def test_pacs_matches_coherent_at_m0():
+    # the m = 0 member of the family against the coherent-state formula
+    spec = InitialStateSpec(nu=5.0, m=0)
     n_cut = choose_cutoff(5.0, 0)
-    a = coherent_state(InitialStateSpec(nu=5.0), n_cut)
-    b = photon_added_coherent_state(InitialStateSpec(nu=5.0, m=0), n_cut)
-    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-14
+    a = _coherent_amplitudes(spec.alpha, n_cut)
+    b = build_initial_state(spec, n_cut)
+    assert np.max(np.abs(a / np.linalg.norm(a) - b.amplitudes)) < 1e-14
 
 
 def test_pacs_reduces_to_fock_state_at_zero_field():
-    st = photon_added_coherent_state(InitialStateSpec(nu=0.0, m=5), 10)
+    st = build_initial_state(InitialStateSpec(nu=0.0, m=5), 10)
     assert st.amplitudes[5] == 1.0
     assert np.count_nonzero(st.amplitudes) == 1
     # and continuously: tiny nu stays overwhelmingly on level m
-    st = photon_added_coherent_state(InitialStateSpec(nu=1e-6, m=5), choose_cutoff(1e-6, 5))
+    st = build_initial_state(InitialStateSpec(nu=1e-6, m=5), choose_cutoff(1e-6, 5))
     assert abs(st.amplitudes[5]) ** 2 > 1.0 - 1e-4
 
 
 def test_pacs_no_support_below_m():
-    st = photon_added_coherent_state(InitialStateSpec(nu=5.0, m=5), choose_cutoff(5.0, 5))
+    st = build_initial_state(InitialStateSpec(nu=5.0, m=5), choose_cutoff(5.0, 5))
     assert np.all(st.amplitudes[:5] == 0.0)
     assert abs(st.norm() - 1.0) < 1e-12
 
 
 def test_pacs_cutoff_errors():
     with pytest.raises(CutoffTooSmallError):
-        photon_added_coherent_state(InitialStateSpec(nu=5.0, m=5), 4)
+        build_initial_state(InitialStateSpec(nu=5.0, m=5), 4)
     with pytest.raises(CutoffTooSmallError):
-        photon_added_coherent_state(InitialStateSpec(nu=5.0, m=5), 12)
+        build_initial_state(InitialStateSpec(nu=5.0, m=5), 12)
 
 
 def test_pacs_mean_photon_exceeds_coherent():
     # adding photons raises the mean occupation above nu + m
-    st = photon_added_coherent_state(InitialStateSpec(nu=5.0, m=5), choose_cutoff(5.0, 5))
+    st = build_initial_state(InitialStateSpec(nu=5.0, m=5), choose_cutoff(5.0, 5))
     assert st.mean_photon_number() > 10.0
 
 
 def test_inner_product_basics():
     n_cut = choose_cutoff(5.0, 0)
-    st = coherent_state(InitialStateSpec(nu=5.0), n_cut)
+    st = build_initial_state(InitialStateSpec(nu=5.0), n_cut)
     assert abs(inner_product(st, st) - 1.0) < 1e-12
     assert inner_product(fock_state(0, 4), fock_state(1, 4)) == 0.0
 

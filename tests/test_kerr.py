@@ -9,7 +9,6 @@ from kerrsplit.fock import (
     InitialStateSpec,
     build_initial_state,
     choose_cutoff,
-    coherent_state,
     inner_product,
 )
 from kerrsplit.kerr import (
@@ -25,7 +24,7 @@ ALPHA5 = math.sqrt(5.0) * np.exp(1j * math.pi / 4)
 
 
 def coherent5():
-    return coherent_state(InitialStateSpec(nu=5.0), choose_cutoff(5.0, 0))
+    return build_initial_state(InitialStateSpec(nu=5.0), choose_cutoff(5.0, 0))
 
 
 def test_full_revival_is_exact_identity():
@@ -100,7 +99,7 @@ def test_reconstruct_single_component_is_that_coherent_state():
     sup = CoherentSuperposition(np.array([1.0 + 0j]), np.array([ALPHA5]))
     n_cut = choose_cutoff(5.0, 0)
     got = reconstruct_fock(sup, n_cut)
-    want = coherent_state(InitialStateSpec(nu=5.0), n_cut)
+    want = build_initial_state(InitialStateSpec(nu=5.0), n_cut)
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
 
 
@@ -132,7 +131,7 @@ def test_reconstruct_cutoff_too_small():
 
 def test_direct_equals_oracle_statewise():
     n_cut = choose_cutoff(5.0, 0)
-    base = coherent_state(InitialStateSpec(nu=5.0), n_cut)
+    base = build_initial_state(InitialStateSpec(nu=5.0), n_cut)
     direct = kerr_evolve(base, 0.25)
     rebuilt = reconstruct_fock(fractional_revival_superposition(ALPHA5, 1, 4), n_cut)
     fid = abs(inner_product(rebuilt, direct))
