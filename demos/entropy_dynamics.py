@@ -12,14 +12,7 @@ detected minima against log2(q).
 from pathlib import Path
 
 from kerrsplit.fock import InitialStateSpec
-from kerrsplit.sweep import (
-    GridSpec,
-    ScenarioConfig,
-    entropy_curve_summary,
-    run_entropy_curve,
-    scenario_metadata,
-    write_records_csv,
-)
+from kerrsplit.sweep import GridSpec, ScenarioConfig, run_entropy_curve, write_table
 
 OUT = Path(__file__).resolve().parent / "output"
 
@@ -32,12 +25,10 @@ def main():
             initial=InitialStateSpec(nu=nu),
             time_grid=GridSpec(0.0, 1.0, 1000),
         )
-        records = run_entropy_curve(cfg)
-        summary = entropy_curve_summary(cfg, records)
-        path = OUT / f"{cfg.name}_entropy-curve.csv"
-        write_records_csv(path, records,
-                          extra_columns=("local_min", "revival_p", "revival_q"),
-                          metadata=scenario_metadata(cfg, records[0].metadata["n_cut"]))
+        table = run_entropy_curve(cfg)
+        summary = table.summary
+        path = OUT / f"{cfg.name}_{table.artifact}.csv"
+        write_table(path, table)
         print(f"nu = {nu:g}:  E_max = {summary['e_max']:.3f} ebits, "
               f"{summary['n_minima']} fractional-revival minima -> {path.name}")
         for entry in summary["minima"]:

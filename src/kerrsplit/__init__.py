@@ -5,7 +5,7 @@ decoherence under photon loss."""
 
 __version__ = "0.1.0"
 
-from .beamsplitter import output_at_time, split_amplitudes, split_with_vacuum
+from .beamsplitter import output_at_time, split_amplitudes
 from .decoherence import ChannelParams, damp, negativity_decay_curve
 from .entanglement import (
     entanglement_entropy,
@@ -42,10 +42,10 @@ from .kerr import (
 )
 from .sweep import (
     ConfigError,
-    CurveRecord,
     GridSpec,
     InfeasibleScenarioError,
     ScenarioConfig,
+    Table,
     run_decoherence_scan,
     run_entropy_curve,
     run_entropy_surface,

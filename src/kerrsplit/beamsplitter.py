@@ -18,11 +18,11 @@ import math
 
 import numpy as np
 
-from .fock import CutoffPolicy, FockVector, InitialStateSpec, build_initial_state
+from .fock import CutoffPolicy, InitialStateSpec, build_initial_state
 from .fock import log_factorials
 from .kerr import kerr_evolve
 
-__all__ = ["output_at_time", "split_amplitudes", "split_with_vacuum"]
+__all__ = ["output_at_time", "split_amplitudes"]
 
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k for k mod 4
 _LN2 = math.log(2.0)
@@ -65,11 +65,6 @@ def split_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     return phi
 
 
-def split_with_vacuum(state: FockVector) -> np.ndarray:
-    """Map c_n |n>|0> through the splitter into phi[p, k], k = n - p."""
-    return split_amplitudes(state.amplitudes)
-
-
 def output_at_time(
     initial: InitialStateSpec,
     tau: float,
@@ -79,4 +74,4 @@ def output_at_time(
     """Two-mode amplitude matrix after Kerr evolution for tau revival units
     followed by the 50/50 splitter with vacuum in the second port."""
     state = build_initial_state(initial, n_cut=n_cut, policy=policy)
-    return split_with_vacuum(kerr_evolve(state, tau))
+    return split_amplitudes(kerr_evolve(state, tau).amplitudes)

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``entropy``, ``surface``, ``husimi``, ``decohere`` and
-``oracle-check``.  Each takes an optional ``--config`` JSON scenario plus a
-few per-field overrides, and writes CSV/JSON artifacts under ``--out-dir``.
+``oracle-check``.  The first four take an optional ``--config`` JSON scenario
+plus a few per-field overrides and write artifacts under ``--out-dir``:
+``entropy``, ``surface`` and ``decohere`` one table as a CSV and a JSON
+summary, ``husimi`` a CSV and a ``.qmat`` per tau plus one JSON summary.
+``oracle-check`` writes nothing.
 Exit codes: 0 success, 1 invalid configuration or command line,
 2 infeasible scenario: over the dimension cap, or a numerical failure (a
 linear-algebra routine that does not converge, or a non-finite result).
@@ -18,27 +21,31 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sweep
 from .kerr import oracle_fidelity
 from .sweep import (
-    ChannelSection,
     ConfigError,
     InfeasibleScenarioError,
     ScenarioConfig,
     config_errors,
     config_from_json,
-    entropy_curve_summary,
-    run_decoherence_scan,
-    run_entropy_curve,
-    run_entropy_surface,
     run_husimi,
-    scenario_metadata,
     with_overrides,
     write_json,
-    write_records_csv,
+    write_table,
 )
 
 ORACLE_PAIRS = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5))
 ORACLE_TOL = 1e-10
+
+# Commands whose sweep runner returns a Table, written as
+# <name>_<artifact>.csv/.json.  The runner is looked up on the sweep module
+# at call time, so a wrapped or patched runner is the one that runs.
+_TABLE_RUNNERS = {
+    "entropy": "run_entropy_curve",
+    "surface": "run_entropy_surface",
+    "decohere": "run_decoherence_scan",
+}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -48,7 +55,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--nu", type=float, help="override mean photon number")
     sub.add_argument("--m", type=int, help="override photon excitation number")
     sub.add_argument("--theta", type=float, help="override coherent phase (radians)")
-    sub.add_argument("--tau-steps", type=int, help="override time-grid point count")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(cmd, help=blurb)
         _add_common(p)
+        if cmd in ("entropy", "surface"):  # the commands that read time_grid
+            p.add_argument("--tau-steps", type=int, help="override time-grid point count")
         if cmd == "husimi":
             p.add_argument("--tau", type=float, action="append",
                            help="time to render (repeatable)")
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     config = config_from_json(args.config) if args.config else ScenarioConfig()
     return with_overrides(config, nu=args.nu, m=args.m, theta=args.theta,
-                          tau_steps=args.tau_steps, name=args.name)
+                          tau_steps=getattr(args, "tau_steps", None), name=args.name)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -97,41 +105,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return args.out_dir
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_table(args) -> int:
     config = _load_config(args)
-    records = run_entropy_curve(config)
-    out = _out_dir(args)
-    meta = scenario_metadata(config, n_cut=records[0].metadata["n_cut"])
-    csv_path = out / f"{config.name}_entropy-curve.csv"
-    write_records_csv(csv_path, records,
-                      extra_columns=("local_min", "revival_p", "revival_q"),
-                      metadata=meta)
-    json_path = out / f"{config.name}_entropy-curve.json"
-    write_json(json_path, entropy_curve_summary(config, records))
+    table = getattr(sweep, _TABLE_RUNNERS[args.command])(config)
+    csv_path = _out_dir(args) / f"{config.name}_{table.artifact}.csv"
+    write_table(csv_path, table)
     print(csv_path)
-    print(json_path)
-    return 0
-
-
-def _cmd_surface(args) -> int:
-    config = _load_config(args)
-    records = run_entropy_surface(config)
-    out = _out_dir(args)
-    csv_path = out / f"{config.name}_entropy-surface.csv"
-    write_records_csv(csv_path, records, extra_columns=("nu", "n_cut"),
-                      metadata=scenario_metadata(config))
-    summary = {
-        "name": config.name,
-        "m": config.initial.m,
-        "theta": config.initial.theta,
-        "e_max": max(rec.ordinate for rec in records),
-        "tau_points": config.time_grid.steps,
-        "nu_points": config.nu_grid.steps,
-    }
-    json_path = out / f"{config.name}_entropy-surface.json"
-    write_json(json_path, summary)
-    print(csv_path)
-    print(json_path)
+    print(csv_path.with_suffix(".json"))
     return 0
 
 
@@ -152,38 +132,6 @@ def _cmd_husimi(args) -> int:
     return 0
 
 
-def _cmd_decohere(args) -> int:
-    config = _load_config(args)
-    if config.channel is None:
-        config = replace(config, channel=ChannelSection())
-    records = run_decoherence_scan(config)
-    out = _out_dir(args)
-    artifact = ("negativity-vs-gammatau"
-                if config.channel.gamma_tau_grid is not None
-                else "negativity-vs-nu")
-    csv_path = out / f"{config.name}_{artifact}.csv"
-    write_records_csv(csv_path, records,
-                      extra_columns=("m", "n_cut", "revival_tau"),
-                      metadata=scenario_metadata(config))
-    by_m = {}
-    for rec in records:
-        by_m.setdefault(rec.metadata["m"], []).append(rec.ordinate)
-    summary = {
-        "name": config.name,
-        "nu": config.initial.nu,
-        "revival_tau": config.channel.tau,
-        "curves": [
-            {"m": m, "initial": values[0], "final": values[-1]}
-            for m, values in sorted(by_m.items())
-        ],
-    }
-    json_path = out / f"{config.name}_{artifact}.json"
-    write_json(json_path, summary)
-    print(csv_path)
-    print(json_path)
-    return 0
-
-
 def _cmd_oracle_check(args) -> int:
     worst = 1.0
     failed = False
@@ -198,10 +146,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 _COMMANDS = {
-    "entropy": _cmd_entropy,
-    "surface": _cmd_surface,
+    **dict.fromkeys(_TABLE_RUNNERS, _cmd_table),
     "husimi": _cmd_husimi,
-    "decohere": _cmd_decohere,
     "oracle-check": _cmd_oracle_check,
 }
 

@@ -1,6 +1,11 @@
 """Configuration-driven sweeps: entropy curves and surfaces, Husimi grids,
 and decoherence scans, with CSV/JSON emission.
 
+The three table runners return a ``Table``: the artifact name, the ``#``
+header, named equal-length columns and the JSON summary.  ``write_table``
+emits one as a CSV plus a JSON file beside it.  ``run_husimi`` writes each
+Q grid as it computes it, so only one grid is held at a time.
+
 Scenarios are plain JSON documents.  Every pipeline stage is deterministic
 (there is no randomness anywhere), so identical configs produce byte-identical
 CSV files.
@@ -16,7 +21,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,15 +55,15 @@ from .kerr import kerr_evolve, kerr_phases
 
 __all__ = [
     "ConfigError",
-    "CurveRecord",
     "GridSpec",
     "InfeasibleScenarioError",
     "ScenarioConfig",
+    "Table",
     "run_decoherence_scan",
     "run_entropy_curve",
     "run_entropy_surface",
     "run_husimi",
-    "write_records_csv",
+    "write_table",
 ]
 
 # prune entropy local minima shallower than this (ebits)
@@ -127,6 +132,11 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
+def _tau_label(tau) -> str:
+    """The text of tau in Husimi file names."""
+    return f"{float(tau):.6g}"
+
+
 @dataclass(frozen=True)
 class HusimiSection:
     taus: tuple = ()
@@ -138,6 +148,10 @@ class HusimiSection:
         object.__setattr__(self, "taus", _as_tuple("taus", self.taus))
         for tau in self.taus:
             check_real("taus", tau)
+        labels = [_tau_label(tau) for tau in self.taus]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"taus must differ in their file labels (6 significant "
+                             f"digits), got {labels}")
         check_int("resolution", self.resolution, 2)
         if self.half_width is not None and check_real("half_width", self.half_width) <= 0:
             raise ValueError(f"half_width must be > 0, got {self.half_width!r}")
@@ -215,14 +229,15 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class CurveRecord:
-    """One grid point of an emitted curve, with per-row metadata."""
+class Table:
+    """One tabular result: the artifact name (``<name>_<artifact>.csv``), the
+    ``#`` header, named equal-length columns (``None`` writes a blank cell)
+    and the JSON summary."""
 
-    abscissa_label: str
-    abscissa: float
-    ordinate_label: str
-    ordinate: float
-    metadata: dict = field(default_factory=dict)
+    artifact: str
+    header: dict
+    columns: dict
+    summary: dict
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
@@ -322,96 +337,69 @@ def _cutoff(config: ScenarioConfig, nu: float, m: int, mixed: bool = False) -> i
     return n_cut
 
 
-def run_entropy_curve(config: ScenarioConfig) -> list[CurveRecord]:
+def run_entropy_curve(config: ScenarioConfig) -> Table:
     """Entanglement entropy over the time grid, with prominent local minima
-    annotated by the nearest rational revival fraction p/q."""
+    annotated by the nearest rational revival fraction p/q.  The summary
+    holds E_max and the minima, each compared against the log2(q) value a
+    maximally entangled q-dimensional state would give."""
     init = config.initial
     n_cut = _cutoff(config, init.nu, init.m)
-    taus = config.time_grid.values()
-    entropies = _entropy_column(init, taus, n_cut, config.cutoff)
-    minima = set(_prominent_minima(entropies))
-
-    records = []
-    for i, (tau, ent) in enumerate(zip(taus, entropies)):
-        meta = {"nu": init.nu, "m": init.m, "theta": init.theta, "n_cut": n_cut,
-                "local_min": 1 if i in minima else 0}
-        if i in minima:
-            p, q = nearest_rational(float(tau), config.q_max)
-            meta["revival_p"], meta["revival_q"] = p, q
-        records.append(CurveRecord("tau", float(tau), "entropy_ebits", float(ent), meta))
-    return records
-
-
-def entropy_curve_summary(config: ScenarioConfig, records: list[CurveRecord]) -> dict:
-    """Curve-level summary: E_max and the annotated minima, each compared
-    against the log2(q) value a maximally entangled q-dimensional state
-    would give."""
+    grid = config.time_grid.values()
+    column = _entropy_column(init, grid, n_cut, config.cutoff)
+    taus, entropies = grid.tolist(), column.tolist()
+    local_min, revival_p, revival_q = [0] * len(taus), [None] * len(taus), [None] * len(taus)
     minima = []
-    for rec in records:
-        if not rec.metadata.get("local_min"):
-            continue
-        q = rec.metadata["revival_q"]
-        minima.append(
-            {
-                "tau": rec.abscissa,
-                "revival_p": rec.metadata["revival_p"],
-                "revival_q": q,
-                "entropy_ebits": rec.ordinate,
-                "log2_q": math.log2(q),
-                "deviation_from_log2_q": rec.ordinate - math.log2(q),
-            }
-        )
-    return {
-        "name": config.name,
-        "nu": config.initial.nu,
-        "m": config.initial.m,
-        "theta": config.initial.theta,
-        "e_max": max(rec.ordinate for rec in records),
-        "n_minima": len(minima),
-        "minima": minima,
-    }
+    for i in _prominent_minima(column):
+        p, q = nearest_rational(taus[i], config.q_max)
+        local_min[i], revival_p[i], revival_q[i] = 1, p, q
+        minima.append({"tau": taus[i], "revival_p": p, "revival_q": q,
+                       "entropy_ebits": entropies[i], "log2_q": math.log2(q),
+                       "deviation_from_log2_q": entropies[i] - math.log2(q)})
+    columns = {"tau": taus, "entropy_ebits": entropies, "local_min": local_min,
+               "revival_p": revival_p, "revival_q": revival_q}
+    summary = {"name": config.name, "nu": init.nu, "m": init.m, "theta": init.theta,
+               "e_max": max(entropies), "n_minima": len(minima), "minima": minima}
+    return Table("entropy-curve", _scenario_header(config, n_cut), columns, summary)
 
 
-def run_entropy_surface(config: ScenarioConfig) -> list[CurveRecord]:
+def run_entropy_surface(config: ScenarioConfig) -> Table:
     """Entropy over the (tau, nu) product grid, tau-major row order."""
     if config.nu_grid is None:
         raise ConfigError("nu_grid: required for an entropy surface")
     init = config.initial
     taus = config.time_grid.values()
-    nus = [float(nu) for nu in config.nu_grid.values()]
+    nus = config.nu_grid.values().tolist()
     n_cuts = [_cutoff(config, nu, init.m) for nu in nus]
-    columns = [
+    grid = np.column_stack([
         _entropy_column(replace(init, nu=nu), taus, n_cut, config.cutoff)
         for nu, n_cut in zip(nus, n_cuts)
-    ]
-
-    records = []
-    for i, tau in enumerate(taus):
-        for nu, n_cut, column in zip(nus, n_cuts, columns):
-            meta = {"nu": nu, "m": init.m, "theta": init.theta, "n_cut": n_cut}
-            records.append(CurveRecord("tau", float(tau), "entropy_ebits",
-                                       float(column[i]), meta))
-    return records
+    ])
+    entropies = grid.ravel().tolist()
+    columns = {"tau": np.repeat(taus, len(nus)).tolist(), "entropy_ebits": entropies,
+               "nu": nus * len(taus), "n_cut": n_cuts * len(taus)}
+    summary = {"name": config.name, "m": init.m, "theta": init.theta,
+               "e_max": max(entropies), "tau_points": len(taus), "nu_points": len(nus)}
+    return Table("entropy-surface", _scenario_header(config), columns, summary)
 
 
-def run_decoherence_scan(config: ScenarioConfig) -> list[CurveRecord]:
-    """Log-negativity curves under photon loss.
+def run_decoherence_scan(config: ScenarioConfig) -> Table:
+    """Log-negativity curves under photon loss (channel defaults to
+    ChannelSection()).
 
     With a gamma_tau grid: one E_N(gamma*tau) curve per configured m.  With a
     nu grid and a fixed gamma_tau: E_N(nu) per configured m.  Dimension-cap
     violations fail before any heavy work, naming the offending (nu, m).
     """
-    if config.channel is None:
-        raise ConfigError("channel: section required for a decoherence scan")
-    chan = config.channel
+    chan = ChannelSection() if config.channel is None else config.channel
     if chan.gamma1 <= 0:
         raise ConfigError("channel.gamma1: must be > 0 for a decoherence scan")
     init = config.initial
     m_values = chan.m_values if chan.m_values else (init.m,)
-    if chan.gamma_tau_grid is not None:
+    by_gamma_tau = chan.gamma_tau_grid is not None
+    if by_gamma_tau:
         nus, gamma_taus = [init.nu], chan.gamma_tau_grid.values().tolist()
     elif config.nu_grid is not None:
-        nus, gamma_taus = [float(nu) for nu in config.nu_grid.values()], [chan.gamma_tau]
+        nus, gamma_taus = config.nu_grid.values().tolist(), [chan.gamma_tau]
     else:
         raise ConfigError("channel: need gamma_tau_grid, or nu_grid plus a fixed gamma_tau")
     longest = max(gamma_taus) / chan.gamma1  # the damping time of the largest gamma_tau
@@ -420,22 +408,23 @@ def run_decoherence_scan(config: ScenarioConfig) -> list[CurveRecord]:
     states = [(nu, m, _cutoff(config, nu, m, mixed=True)) for m in m_values for nu in nus]
     params = ChannelParams(gamma1=chan.gamma1, gamma2=chan.gamma2)
 
-    records = []
+    rows = []
     for nu, m, n_cut in states:
         phi = output_at_time(replace(init, nu=nu, m=m), chan.tau, n_cut=n_cut,
                              policy=config.cutoff)
-        meta = {"nu": nu, "m": m, "theta": init.theta, "n_cut": n_cut,
-                "revival_tau": chan.tau}
         curve = negativity_decay_curve(phi, gamma_taus, params, config.dim_cap)
         _check_finite([en for _, en in curve], f"log negativity of (nu={nu:g}, m={m})")
-        if chan.gamma_tau_grid is not None:
-            records.extend(CurveRecord("gamma_tau", g, "log_negativity", float(en), dict(meta))
-                           for g, en in curve)
-        else:
-            ((_, en),) = curve
-            meta["gamma_tau"] = chan.gamma_tau
-            records.append(CurveRecord("nu", nu, "log_negativity", float(en), meta))
-    return records
+        rows.extend((g if by_gamma_tau else nu, float(en), m, n_cut) for g, en in curve)
+    abscissa, values, ms, n_cuts = map(list, zip(*rows))
+    size = len(values) // len(m_values)  # the points of one m, in row order
+    by_m = {m: values[k * size:(k + 1) * size] for k, m in enumerate(m_values)}
+    columns = {"gamma_tau" if by_gamma_tau else "nu": abscissa, "log_negativity": values,
+               "m": ms, "n_cut": n_cuts, "revival_tau": [chan.tau] * len(values)}
+    summary = {"name": config.name, "nu": init.nu, "revival_tau": chan.tau,
+               "curves": [{"m": m, "initial": curve[0], "final": curve[-1]}
+                          for m, curve in sorted(by_m.items())]}
+    artifact = "negativity-vs-gammatau" if by_gamma_tau else "negativity-vs-nu"
+    return Table(artifact, _scenario_header(config), columns, summary)
 
 
 def run_husimi(config: ScenarioConfig, out_dir) -> dict:
@@ -458,7 +447,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
         grid = husimi_q(state, half_width=section.half_width,
                         resolution=section.resolution)
         _check_finite(grid.values, f"Husimi Q at tau={float(tau):g}")
-        stem = f"{config.name}_husimi_tau_{float(tau):.6g}"
+        stem = f"{config.name}_husimi_tau_{_tau_label(tau)}"
         csv_path = out_dir / f"{stem}.csv"
         mat_path = out_dir / f"{stem}.qmat"
         write_grid_csv(grid, csv_path)
@@ -498,7 +487,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def scenario_metadata(config: ScenarioConfig, n_cut: int | None = None) -> dict:
+def _scenario_header(config: ScenarioConfig, n_cut: int | None = None) -> dict:
     meta = {
         "name": config.name,
         "nu": config.initial.nu,
@@ -513,23 +502,19 @@ def scenario_metadata(config: ScenarioConfig, n_cut: int | None = None) -> dict:
     return meta
 
 
-def write_records_csv(path, records: list[CurveRecord], extra_columns=(),
-                      metadata: dict | None = None) -> None:
-    """Header row plus '#'-prefixed metadata block; extra columns are pulled
-    from each record's metadata (blank when missing)."""
-    if not records:
-        raise ValueError("no records to write")
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}: {_fmt(value)}")
-    header = [records[0].abscissa_label, records[0].ordinate_label, *extra_columns]
-    lines.append(",".join(header))
-    for rec in records:
-        row = [_fmt(rec.abscissa), _fmt(rec.ordinate)]
-        row.extend(_fmt(rec.metadata.get(col)) for col in extra_columns)
-        lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
+def write_table(csv_path, table: Table) -> None:
+    """Write the table's '#'-prefixed header block, a column-name row and one
+    row per point to ``csv_path``, and its summary to the .json beside it."""
+    csv_path = Path(csv_path)
+    lengths = {len(column) for column in table.columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"columns must have one equal length, got {sorted(lengths)}")
+    lines = [f"# {key}: {_fmt(value)}" for key, value in table.header.items()]
+    lines.append(",".join(table.columns))
+    lines.extend(map(",".join, zip(*(map(_fmt, column) for column in table.columns.values()))))
+    with open(csv_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+    write_json(csv_path.with_suffix(".json"), table.summary)
 
 
 def write_json(path, payload: dict) -> None:

@@ -53,7 +53,7 @@ def test_02_collapse_plateau_maxima():
     for nu, target in want.items():
         cfg = ScenarioConfig(initial=InitialStateSpec(nu=nu),
                              time_grid=GridSpec(0.0, 1.0, 1000))
-        got[nu] = max(rec.ordinate for rec in run_entropy_curve(cfg))
+        got[nu] = max(run_entropy_curve(cfg).columns["entropy_ebits"])
     elapsed = time.perf_counter() - t0
     ok = all(abs(got[nu] - want[nu]) <= 0.05 for nu in want) and elapsed < 30.0
     report(2, "collapse-plateau E_max for nu=5,10,20", ok,

@@ -7,6 +7,12 @@ import pytest
 
 from kerrsplit import cli, fock
 from kerrsplit.cli import main
+from kerrsplit.sweep import (
+    config_from_json,
+    run_decoherence_scan,
+    run_entropy_curve,
+    run_entropy_surface,
+)
 
 
 def run_cli(args):
@@ -198,6 +204,13 @@ BAD_INPUTS = {
     "surface-product-over-cap": (["surface"], {
         "time_grid": {"start": 0, "stop": 1, "steps": 1001},
         "nu_grid": {"start": 1, "stop": 2, "steps": 1000}}, 1),
+    "husimi-taus-same-label-flag": (["husimi", "--nu", "2", "--tau", "0.25",
+                                     "--tau", "0.2500001", "--resolution", "21",
+                                     "--name", "h"], None, 1),
+    "husimi-taus-repeated": (["husimi"], {"husimi": {"taus": [0.5, 0.5], "resolution": 21}},
+                             1),
+    "tau-steps-on-husimi": (["husimi", "--tau", "0.5", "--tau-steps", "5"], None, 1),
+    "tau-steps-on-decohere": (["decohere", "--tau-steps", "5"], None, 1),
 }
 
 
@@ -224,6 +237,40 @@ def test_bad_input_ends_in_one_named_error(tmp_path, capsys, monkeypatch, case):
     assert not any("Traceback" in line for line in lines)
     assert [line for line in lines if line.startswith(prefix)] == lines[-1:]
     assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+
+
+# (scenario JSON, runner) of each command that writes one table
+TABLE_COMMANDS = {
+    "entropy": ({"initial": {"nu": 5.0}, "time_grid": {"start": 0, "stop": 1, "steps": 61}},
+                run_entropy_curve),
+    "surface": ({"time_grid": {"start": 0, "stop": 1, "steps": 5},
+                 "nu_grid": {"start": 0.5, "stop": 2, "steps": 3}}, run_entropy_surface),
+    "decohere": (_channel(m_values=[0, 1]), run_decoherence_scan),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+def test_table_artifacts_parse_back_to_the_runner_result(tmp_path, command):
+    raw, run = TABLE_COMMANDS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "t", **raw}))
+    assert run_cli([command, "--config", cfg, "--out-dir", tmp_path]) == 0
+    table = run(config_from_json(cfg))
+    lines = (tmp_path / f"t_{table.artifact}.csv").read_text().splitlines()
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    assert body[0] == list(table.columns)
+    assert all(len(row) == len(body[0]) for row in body)
+    for column, cells in zip(table.columns.values(), zip(*body[1:])):
+        assert len(cells) == len(column)
+        for value, cell in zip(column, cells):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, int):
+                assert cell == str(value)
+            else:
+                assert isinstance(value, float) and cell == f"{value:.12g}"
+    summary = json.loads((tmp_path / f"t_{table.artifact}.json").read_text())
+    assert summary == table.summary
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"q_max": ' + b"1" * 5000 + b"}"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrsplit.beamsplitter import output_at_time, split_with_vacuum
+from kerrsplit.beamsplitter import output_at_time, split_amplitudes
 from kerrsplit.entanglement import (
     entanglement_entropy,
     log_negativity,
@@ -42,7 +42,7 @@ def test_rank_one_spectrum():
 
 
 def test_fock5_split_spectrum_is_binomial():
-    lam = schmidt_spectrum(split_with_vacuum(fock_state(5, 8)))
+    lam = schmidt_spectrum(split_amplitudes(fock_state(5, 8).amplitudes))
     want = sorted((math.comb(5, p) / 32.0 for p in range(6)), reverse=True)
     assert np.allclose(lam[:6], want, atol=1e-13)
     assert abs(lam.sum() - 1.0) < 1e-10
@@ -61,7 +61,7 @@ def test_binomial_entropy_value():
     # six-term oracle evaluates to ~2.198 ebits
     want = binomial_entropy(5)
     assert abs(want - 2.198192411043098) < 1e-12
-    got = entanglement_entropy(split_with_vacuum(fock_state(5, 8)))
+    got = entanglement_entropy(split_amplitudes(fock_state(5, 8).amplitudes))
     assert abs(got - want) < 1e-10
 
 

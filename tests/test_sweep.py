@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kerrsplit import fock, sweep
 from kerrsplit.entanglement import entanglement_entropy, pure_state_log_negativity
 from kerrsplit.beamsplitter import output_at_time
+from kerrsplit.decoherence import ChannelParams, negativity_decay_curve
 from kerrsplit.fock import InitialStateSpec, choose_cutoff
 from kerrsplit.sweep import (
     _BLOCK_BYTES,
@@ -21,16 +22,14 @@ from kerrsplit.sweep import (
     _prominent_minima,
     config_from_dict,
     config_from_json,
-    entropy_curve_summary,
     nearest_rational,
     run_decoherence_scan,
     run_entropy_curve,
     run_entropy_surface,
     run_husimi,
-    scenario_metadata,
     with_overrides,
     write_json,
-    write_records_csv,
+    write_table,
 )
 
 
@@ -245,8 +244,9 @@ def test_prominent_minima_equal_basin_merging(seed, n, floor, walk):
 
 @pytest.mark.parametrize("nu,m", [(2.0, 0), (5.0, 0), (5.0, 5), (10.0, 2)])
 def test_prominent_minima_equal_basin_merging_on_entropy_curves(nu, m):
-    entropies = [rec.ordinate for rec in run_entropy_curve(small_config(
-        initial=InitialStateSpec(nu=nu, m=m), time_grid=GridSpec(0.0, 1.0, 301)))]
+    entropies = run_entropy_curve(small_config(
+        initial=InitialStateSpec(nu=nu, m=m),
+        time_grid=GridSpec(0.0, 1.0, 301))).columns["entropy_ebits"]
     values = np.array(entropies)
     assert _prominent_minima(values) == basin_minima(values, sweep.MINIMUM_PROMINENCE)
 
@@ -273,16 +273,16 @@ def test_nearest_rational():
 
 def test_entropy_curve_records_and_summary():
     cfg = small_config(time_grid=GridSpec(0.0, 1.0, 201))
-    records = run_entropy_curve(cfg)
-    assert len(records) == 201
-    assert records[0].abscissa == 0.0
-    assert abs(records[0].ordinate) < 1e-10
-    assert abs(records[-1].ordinate) < 1e-8
-    assert all(rec.ordinate >= -1e-12 and math.isfinite(rec.ordinate) for rec in records)
-    taus = [rec.abscissa for rec in records]
+    table = run_entropy_curve(cfg)
+    taus, entropies = table.columns["tau"], table.columns["entropy_ebits"]
+    assert len(entropies) == 201
+    assert taus[0] == 0.0
+    assert abs(entropies[0]) < 1e-10
+    assert abs(entropies[-1]) < 1e-8
+    assert all(ent >= -1e-12 and math.isfinite(ent) for ent in entropies)
     assert taus == sorted(taus)
-    summary = entropy_curve_summary(cfg, records)
-    assert summary["e_max"] == max(r.ordinate for r in records)
+    summary = table.summary
+    assert summary["e_max"] == max(entropies)
     for entry in summary["minima"]:
         assert entry["revival_q"] >= 2
         assert abs(entry["deviation_from_log2_q"] - (entry["entropy_ebits"] - entry["log2_q"])) < 1e-12
@@ -290,9 +290,9 @@ def test_entropy_curve_records_and_summary():
 
 def test_entropy_curve_finds_halfway_revival():
     cfg = small_config(initial=InitialStateSpec(nu=5.0), time_grid=GridSpec(0.0, 1.0, 301))
-    records = run_entropy_curve(cfg)
-    fracs = {(r.metadata["revival_p"], r.metadata["revival_q"])
-             for r in records if r.metadata["local_min"]}
+    columns = run_entropy_curve(cfg).columns
+    fracs = {(p, q) for p, q, is_min in zip(columns["revival_p"], columns["revival_q"],
+                                            columns["local_min"]) if is_min}
     assert (1, 2) in fracs
     assert (1, 3) in fracs
 
@@ -303,16 +303,16 @@ def test_entropy_surface_tau_major_and_limits():
         time_grid=GridSpec(0.0, 1.0, 5),
         nu_grid=GridSpec(1e-9, 4.0, 3),
     )
-    records = run_entropy_surface(cfg)
-    assert len(records) == 15
+    columns = run_entropy_surface(cfg).columns
+    assert len(columns["entropy_ebits"]) == 15
     # tau-major: nu cycles fastest
-    nus = [rec.metadata["nu"] for rec in records[:3]]
+    nus = columns["nu"][:3]
     assert nus == sorted(set(nus))
-    assert records[0].abscissa == records[2].abscissa
+    assert columns["tau"][0] == columns["tau"][2]
     # nu -> 0 slice is separable at every tau for m = 0
-    for rec in records:
-        if rec.metadata["nu"] < 1e-6:
-            assert rec.ordinate < 1e-6
+    for nu, ent in zip(columns["nu"], columns["entropy_ebits"]):
+        if nu < 1e-6:
+            assert ent < 1e-6
 
 
 def test_entropy_surface_fock_limit_for_pacs():
@@ -322,8 +322,8 @@ def test_entropy_surface_fock_limit_for_pacs():
         nu_grid=GridSpec(1e-6, 1e-6, 1),
     )
     want = -sum(math.comb(5, p) / 32.0 * math.log2(math.comb(5, p) / 32.0) for p in range(6))
-    for rec in run_entropy_surface(cfg):
-        assert abs(rec.ordinate - want) < 0.005
+    for ent in run_entropy_surface(cfg).columns["entropy_ebits"]:
+        assert abs(ent - want) < 0.005
 
 
 def test_entropy_surface_per_nu_maxima_grow_with_field():
@@ -332,11 +332,10 @@ def test_entropy_surface_per_nu_maxima_grow_with_field():
         time_grid=GridSpec(0.0, 1.0, 61),
         nu_grid=GridSpec(1.0, 5.0, 3),
     )
-    records = run_entropy_surface(cfg)
+    columns = run_entropy_surface(cfg).columns
     best = {}
-    for rec in records:
-        nu = rec.metadata["nu"]
-        best[nu] = max(best.get(nu, 0.0), rec.ordinate)
+    for nu, ent in zip(columns["nu"], columns["entropy_ebits"]):
+        best[nu] = max(best.get(nu, 0.0), ent)
     maxima = [best[nu] for nu in sorted(best)]
     assert maxima == sorted(maxima)
 
@@ -351,13 +350,13 @@ def test_decoherence_scan_gamma_tau_mode():
         initial=InitialStateSpec(nu=1.0),
         channel=ChannelSection(gamma_tau_grid=GridSpec(0.0, 0.4, 3), tau=0.5),
     )
-    records = run_decoherence_scan(cfg)
-    assert [rec.abscissa for rec in records] == [0.0, 0.2, 0.4]
-    values = [rec.ordinate for rec in records]
+    columns = run_decoherence_scan(cfg).columns
+    assert columns["gamma_tau"] == [0.0, 0.2, 0.4]
+    values = columns["log_negativity"]
     phi = output_at_time(InitialStateSpec(nu=1.0), 0.5)
     assert abs(values[0] - pure_state_log_negativity(phi)) < 1e-10
     assert values == sorted(values, reverse=True)
-    assert records[0].metadata["m"] == 0
+    assert columns["m"][0] == 0
 
 
 def test_decoherence_scan_nu_mode():
@@ -367,15 +366,20 @@ def test_decoherence_scan_nu_mode():
         channel=ChannelSection(gamma_tau_grid=None, gamma_tau=0.3, tau=0.5,
                                m_values=(0, 1)),
     )
-    records = run_decoherence_scan(cfg)
-    assert len(records) == 4
-    assert {rec.metadata["m"] for rec in records} == {0, 1}
-    assert all(rec.metadata["gamma_tau"] == 0.3 for rec in records)
+    table = run_decoherence_scan(cfg)
+    assert len(table.columns["log_negativity"]) == 4
+    assert set(table.columns["m"]) == {0, 1}
+    assert table.artifact == "negativity-vs-nu"
+    phi = output_at_time(InitialStateSpec(nu=0.2), 0.5)
+    ((_, want),) = negativity_decay_curve(phi, [0.3], ChannelParams(0.1, 0.1))
+    assert table.columns["log_negativity"][0] == want
 
 
 def test_decoherence_scan_requires_channel():
-    with pytest.raises(ConfigError):
-        run_decoherence_scan(small_config())
+    # no channel section runs the default one
+    cfg = small_config(initial=InitialStateSpec(nu=0.5))
+    assert run_decoherence_scan(cfg) == run_decoherence_scan(
+        replace(cfg, channel=ChannelSection()))
     with pytest.raises(ConfigError):
         run_decoherence_scan(small_config(channel=ChannelSection(gamma_tau_grid=None)))
 
@@ -445,19 +449,20 @@ def test_batched_curve_equals_pointwise_pipeline(nu, m, start, stop, length):
     steps = {"one": 1, "below": max(1, block - 1), "at": block, "above": block + 1,
              "across": 2 * block + 1}[length]
     spec = InitialStateSpec(nu=nu, m=m)
-    records = run_entropy_curve(small_config(initial=spec,
-                                             time_grid=GridSpec(start, stop, steps)))
-    assert len(records) == steps
-    for rec in records:
-        assert rec.ordinate == entanglement_entropy(output_at_time(spec, rec.abscissa))
+    columns = run_entropy_curve(small_config(initial=spec,
+                                             time_grid=GridSpec(start, stop, steps))).columns
+    assert len(columns["entropy_ebits"]) == steps
+    for tau, ent in zip(columns["tau"], columns["entropy_ebits"]):
+        assert ent == entanglement_entropy(output_at_time(spec, tau))
 
 
 def test_surface_columns_equal_pointwise_pipeline():
     cfg = small_config(initial=InitialStateSpec(nu=1.0, m=2),
                        time_grid=GridSpec(0.0, 1.0, 7), nu_grid=GridSpec(0.5, 3.0, 3))
-    for rec in run_entropy_surface(cfg):
-        spec = InitialStateSpec(nu=rec.metadata["nu"], m=2)
-        assert rec.ordinate == entanglement_entropy(output_at_time(spec, rec.abscissa))
+    columns = run_entropy_surface(cfg).columns
+    for tau, ent, nu in zip(columns["tau"], columns["entropy_ebits"], columns["nu"]):
+        spec = InitialStateSpec(nu=nu, m=2)
+        assert ent == entanglement_entropy(output_at_time(spec, tau))
 
 
 def test_cutoff_runs_once_per_curve_and_per_nu_column(monkeypatch):
@@ -508,23 +513,18 @@ def test_blocks_bound_the_amplitude_stack(monkeypatch):
 
 def test_csv_is_deterministic(tmp_path):
     cfg = small_config(time_grid=GridSpec(0.0, 1.0, 21))
-    meta = scenario_metadata(cfg, n_cut=11)
     paths = []
     for tag in ("a", "b"):
-        records = run_entropy_curve(cfg)
         path = tmp_path / f"{tag}.csv"
-        write_records_csv(path, records, extra_columns=("local_min", "revival_p", "revival_q"),
-                          metadata=meta)
+        write_table(path, run_entropy_curve(cfg))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_csv_layout(tmp_path):
     cfg = small_config(time_grid=GridSpec(0.0, 1.0, 11))
-    records = run_entropy_curve(cfg)
     path = tmp_path / "out.csv"
-    write_records_csv(path, records, extra_columns=("local_min", "revival_p", "revival_q"),
-                      metadata=scenario_metadata(cfg, n_cut=9))
+    write_table(path, run_entropy_curve(cfg))
     lines = path.read_text().splitlines()
     meta_lines = [l for l in lines if l.startswith("# ")]
     assert any(l.startswith("# nu:") for l in meta_lines)
