@@ -41,9 +41,8 @@ def main():
         print(f"  coefficient {c:+.4f}  ->  center {g:+.4f}")
 
     direct = kerr_evolve(build_initial_state(InitialStateSpec(nu=NU)), 0.5)
-    rebuilt = reconstruct_fock(sup, direct.n_cut)
-    print(f"max |amplitude difference| = "
-          f"{np.max(np.abs(direct.amplitudes - rebuilt.amplitudes)):.2e}")
+    rebuilt = reconstruct_fock(sup, len(direct) - 1)
+    print(f"max |amplitude difference| = {np.max(np.abs(direct - rebuilt)):.2e}")
 
 
 if __name__ == "__main__":

@@ -29,10 +29,10 @@ def main():
     print(f"N_max estimate at nu=5: {n_max_estimate(math.sqrt(5.0)):.2f}\n")
 
     for m, qs in ((0, (4, 5, 6)), (5, (6, 7, 8)), (10, (7, 8, 9))):
-        state0 = build_initial_state(InitialStateSpec(nu=5.0, m=m))
+        amplitudes = build_initial_state(InitialStateSpec(nu=5.0, m=m))
         counts = []
         for q in qs:
-            grid = husimi_q(kerr_evolve(state0, 1.0 / q))
+            grid = husimi_q(kerr_evolve(amplitudes, 1.0 / q))
             counts.append(f"tau=1/{q}: {count_peaks(grid)} peaks")
         print(f"m = {m:2d}:  " + "   ".join(counts))
 

@@ -19,12 +19,9 @@ from .entanglement import (
 from .fock import (
     CutoffPolicy,
     CutoffTooSmallError,
-    FockVector,
     InitialStateSpec,
     build_initial_state,
     choose_cutoff,
-    fock_state,
-    inner_product,
 )
 from .husimi import (
     PhaseSpaceGrid,
@@ -36,7 +33,6 @@ from .kerr import (
     CoherentSuperposition,
     fractional_revival_superposition,
     kerr_evolve,
-    kerr_phases,
     oracle_fidelity,
     reconstruct_fock,
 )

@@ -73,5 +73,5 @@ def output_at_time(
 ) -> np.ndarray:
     """Two-mode amplitude matrix after Kerr evolution for tau revival units
     followed by the 50/50 splitter with vacuum in the second port."""
-    state = build_initial_state(initial, n_cut=n_cut, policy=policy)
-    return split_amplitudes(kerr_evolve(state, tau).amplitudes)
+    amplitudes = build_initial_state(initial, n_cut=n_cut, policy=policy)
+    return split_amplitudes(kerr_evolve(amplitudes, tau))

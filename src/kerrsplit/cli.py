@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import sweep
+from .fock import InitialStateSpec, check_dim_cap
 from .kerr import oracle_fidelity
 from .sweep import (
     ConfigError,
@@ -97,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     config = config_from_json(args.config) if args.config else ScenarioConfig()
     return with_overrides(config, nu=args.nu, m=args.m, theta=args.theta,
-                          tau_steps=getattr(args, "tau_steps", None), name=args.name)
+                          tau_steps=getattr(args, "tau_steps", None),
+                          taus=getattr(args, "tau", None),
+                          resolution=getattr(args, "resolution", None), name=args.name)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -117,13 +119,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_husimi(args) -> int:
     config = _load_config(args)
-    changes = {}
-    if args.tau:
-        changes["taus"] = tuple(args.tau)
-    if args.resolution is not None:
-        changes["resolution"] = args.resolution
-    with config_errors("husimi"):
-        config = replace(config, husimi=replace(config.husimi, **changes))
     out = _out_dir(args)
     summary = run_husimi(config, out)
     json_path = out / f"{config.name}_husimi.json"
@@ -133,6 +128,12 @@ def _cmd_husimi(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    with config_errors("nu"):
+        spec = InitialStateSpec(nu=args.nu)
+    # a huge nu is refused from a lower bound on d, before its cutoff is built
+    config = ScenarioConfig()
+    check_dim_cap(sweep._dim_lower_bound(spec.nu, spec.m, config.cutoff), config.dim_cap,
+                  f"state (nu={spec.nu:g}, m={spec.m})")
     worst = 1.0
     failed = False
     for p, q in ORACLE_PAIRS:

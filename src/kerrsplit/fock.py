@@ -1,7 +1,8 @@
 """Single-mode pure states in a truncated Fock basis.
 
-Everything downstream (Kerr evolution, beam splitting, phase-space maps)
-operates on the complex amplitude vectors built here.  One builder,
+A state is a plain 1-D complex array of amplitudes over levels 0..n_cut;
+everything downstream (Kerr evolution, beam splitting, phase-space maps)
+operates on the arrays built here.  One builder,
 ``build_initial_state``, makes every input, coherent or photon-added, and
 renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
 (the fewest leading levels that hold all but a tail of the weight), sets the
@@ -23,13 +24,10 @@ __all__ = [
     "DEFAULT_DIM_CAP",
     "CutoffPolicy",
     "CutoffTooSmallError",
-    "FockVector",
     "InfeasibleScenarioError",
     "InitialStateSpec",
     "build_initial_state",
     "choose_cutoff",
-    "fock_state",
-    "inner_product",
     "log_factorials",
 ]
 
@@ -110,34 +108,6 @@ class InitialStateSpec:
         return complex(r * math.cos(self.theta), r * math.sin(self.theta))
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Pure state as complex amplitudes over Fock levels 0..n_cut."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or len(amps) == 0:
-            raise ValueError("amplitudes must be a non-empty 1-D array")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n_cut(self) -> int:
-        return len(self.amplitudes) - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def mean_photon_number(self) -> float:
-        probs = self.probabilities()
-        return float(np.dot(np.arange(len(probs)), probs))
-
-
 def log_factorials(count: int) -> np.ndarray:
     """ln n! for n = 0..count-1."""
     return np.array([math.lgamma(n + 1.0) for n in range(count)])
@@ -203,9 +173,10 @@ def build_initial_state(
     spec: InitialStateSpec,
     n_cut: int | None = None,
     policy: CutoffPolicy = CutoffPolicy(),
-) -> FockVector:
-    """The input state over levels 0..n_cut, renormalized there: m creation
-    operators applied to |alpha> (m = 0 is the coherent state itself).
+) -> np.ndarray:
+    """The read-only amplitudes of the input state over levels 0..n_cut,
+    renormalized there: m creation operators applied to |alpha> (m = 0 is the
+    coherent state itself).
 
     The unnormalized amplitude at level n+m is
     exp(-nu/2) * alpha^n * sqrt((n+m)!) / n!, zero below level m; at nu = 0
@@ -224,23 +195,9 @@ def build_initial_state(
     amps = np.zeros(n_cut + 1, dtype=complex)
     if nu == 0.0:
         amps[m] = 1.0
-        return FockVector(amps)
-    n = np.arange(n_cut - m + 1)
-    amps[m:] = np.exp(0.5 * _log_level_weights(nu, m, len(n)) + 1j * n * spec.theta)
-    return FockVector(amps / np.linalg.norm(amps))
-
-
-def fock_state(n: int, n_cut: int) -> FockVector:
-    """Basis vector |n> in a space truncated at n_cut."""
-    if not 0 <= n <= n_cut:
-        raise ValueError(f"need 0 <= n <= n_cut, got n={n}, n_cut={n_cut}")
-    amps = np.zeros(n_cut + 1, dtype=complex)
-    amps[n] = 1.0
-    return FockVector(amps)
-
-
-def inner_product(a: FockVector, b: FockVector) -> complex:
-    """<a|b> = sum conj(a_n) * b_n, zero-padding the shorter vector."""
-    x, y = a.amplitudes, b.amplitudes
-    k = min(len(x), len(y))
-    return complex(np.vdot(x[:k], y[:k]))
+    else:
+        n = np.arange(n_cut - m + 1)
+        amps[m:] = np.exp(0.5 * _log_level_weights(nu, m, len(n)) + 1j * n * spec.theta)
+        amps /= np.linalg.norm(amps)
+    amps.setflags(write=False)
+    return amps

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, log_factorials
+from .fock import log_factorials
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -75,19 +75,20 @@ def default_half_width(mean_photons: float) -> float:
 
 
 def husimi_q(
-    state: FockVector,
+    amplitudes: np.ndarray,
     half_width: float | None = None,
     resolution: int = 201,
 ) -> PhaseSpaceGrid:
-    """Evaluate Q on a square window of the given half-width (default sized
-    from the state's mean photon number)."""
+    """Evaluate Q of the state with these Fock amplitudes on a square window
+    of the given half-width (default sized from its mean photon number)."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
     if half_width is None:
-        half_width = default_half_width(state.mean_photon_number())
+        probs = np.abs(amplitudes) ** 2
+        half_width = default_half_width(float(np.dot(np.arange(len(probs)), probs)))
     x = p = np.linspace(-half_width, half_width, resolution)
 
-    coeff = state.amplitudes * np.exp(-0.5 * log_factorials(len(state.amplitudes)))
+    coeff = amplitudes * np.exp(-0.5 * log_factorials(len(amplitudes)))
     z = (x[:, None] - 1j * p[None, :]) / math.sqrt(2.0)  # conj(beta)
     acc = np.zeros_like(z)
     for c in coeff[::-1]:

@@ -18,54 +18,41 @@ import numpy as np
 from .fock import (
     CutoffPolicy,
     CutoffTooSmallError,
-    FockVector,
     InitialStateSpec,
     _coherent_amplitudes,
     build_initial_state,
-    inner_product,
 )
 
 __all__ = [
     "CoherentSuperposition",
     "fractional_revival_superposition",
     "kerr_evolve",
-    "kerr_phases",
     "oracle_fidelity",
     "reconstruct_fock",
 ]
 
 
-def kerr_phases(dim: int, taus) -> np.ndarray:
-    """Phases exp(-i*pi*tau*n*(n-1)) of levels n = 0..dim-1.
+def kerr_evolve(amplitudes: np.ndarray, taus) -> np.ndarray:
+    """Amplitudes after tau revival units of Kerr evolution: level n picks up
+    the phase exp(-i*pi*tau*n*(n-1)).
 
-    A scalar tau gives shape (dim,); an array of T times gives one row per
-    time, shape (T, dim).  The exponent is reduced mod 2 before the complex
+    A scalar tau gives shape (d,); an array of T times gives one row per
+    time, shape (T, d).  The exponent is reduced mod 2 before the complex
     exponential so that integer tau (full revivals, where n*(n-1) is always
     even) gives phases of exactly 1.
     """
-    n = np.arange(dim, dtype=float)
+    amplitudes = np.asarray(amplitudes)
+    n = np.arange(amplitudes.shape[-1], dtype=float)
     cycles = np.mod(n * (n - 1.0) * np.asarray(taus, dtype=float)[..., None], 2.0)
-    return np.exp(-1j * math.pi * cycles)
-
-
-def kerr_evolve(state: FockVector, tau: float) -> FockVector:
-    """Multiply amplitude n by exp(-i*pi*tau*n*(n-1)); see ``kerr_phases``."""
-    return FockVector(state.amplitudes * kerr_phases(len(state.amplitudes), tau))
+    return amplitudes * np.exp(-1j * math.pi * cycles)
 
 
 @dataclass(frozen=True)
 class CoherentSuperposition:
-    """Weighted coherent states sum_j c_j |center_j>, centers on one circle.
-
-    ``p`` and ``q`` tag the revival fraction the superposition was built for
-    (None for hand-assembled superpositions); parity of q selects which
-    branch of center placements was used.
-    """
+    """Weighted coherent states sum_j c_j |center_j>, centers on one circle."""
 
     coefficients: np.ndarray
     centers: np.ndarray
-    p: int | None = None
-    q: int | None = None
 
     def __post_init__(self):
         coeff = np.array(self.coefficients, dtype=complex)
@@ -76,10 +63,6 @@ class CoherentSuperposition:
         centers.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "centers", centers)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.coefficients)
 
 
 def fractional_revival_superposition(alpha: complex, p: int, q: int) -> CoherentSuperposition:
@@ -120,15 +103,16 @@ def fractional_revival_superposition(alpha: complex, p: int, q: int) -> Coherent
             f"superposition coefficients for p/q={p}/{q} fail off-period check "
             f"(residual {residual:.3e})"
         )
-    return CoherentSuperposition(coeff, alpha * np.exp(1j * angles), p=p, q=q)
+    return CoherentSuperposition(coeff, alpha * np.exp(1j * angles))
 
 
 def reconstruct_fock(
     superposition: CoherentSuperposition,
     n_cut: int,
     policy: CutoffPolicy = CutoffPolicy(),
-) -> FockVector:
-    """Sum the coherent components into a truncated Fock vector, renormalized.
+) -> np.ndarray:
+    """Sum the coherent components into amplitudes over levels 0..n_cut,
+    renormalized.
 
     The dropped tail is measured against the exact squared norm, computed in
     closed form from the pairwise coherent overlaps
@@ -149,7 +133,7 @@ def reconstruct_fock(
             f"n_cut={n_cut} drops tail {1.0 - retained / exact_sq_norm:.3e} "
             f"> tail_tol {policy.tail_tol:.3e}"
         )
-    return FockVector(amps / math.sqrt(retained))
+    return amps / math.sqrt(retained)
 
 
 def oracle_fidelity(
@@ -167,5 +151,5 @@ def oracle_fidelity(
     spec = InitialStateSpec(nu=nu, theta=theta)
     direct = kerr_evolve(build_initial_state(spec, policy=policy), p / q)
     sup = fractional_revival_superposition(spec.alpha, p, q)
-    rebuilt = reconstruct_fock(sup, direct.n_cut, policy)
-    return abs(inner_product(rebuilt, direct))
+    rebuilt = reconstruct_fock(sup, len(direct) - 1, policy)
+    return float(abs(np.vdot(rebuilt, direct)))

@@ -51,7 +51,7 @@ from .husimi import (
     write_grid_csv,
     write_grid_matrix,
 )
-from .kerr import kerr_evolve, kerr_phases
+from .kerr import kerr_evolve
 
 __all__ = [
     "ConfigError",
@@ -277,12 +277,12 @@ def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
     """Entanglement entropy at every tau for one initial state, equal to
     entanglement_entropy(output_at_time(spec, tau, n_cut, policy)) point by
     point, with the state built once and the rest run in bounded blocks."""
-    amplitudes = build_initial_state(spec, n_cut=n_cut, policy=policy).amplitudes
+    amplitudes = build_initial_state(spec, n_cut=n_cut, policy=policy)
     d = n_cut + 1
     block = max(1, _BLOCK_BYTES // (16 * d * d))
     out = np.empty(len(taus))
     for start in range(0, len(taus), block):
-        rows = amplitudes * kerr_phases(d, taus[start:start + block])
+        rows = kerr_evolve(amplitudes, taus[start:start + block])
         out[start:start + block] = entanglement_entropy(split_amplitudes(rows))
     _check_finite(out, f"entropy of (nu={spec.nu:g}, m={spec.m})")
     return out
@@ -439,12 +439,11 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
 
     init = config.initial
     n_cut = _cutoff(config, init.nu, init.m)
-    base = build_initial_state(init, n_cut=n_cut, policy=config.cutoff)
+    amplitudes = build_initial_state(init, n_cut=n_cut, policy=config.cutoff)
 
     entries = []
     for tau in section.taus:
-        state = kerr_evolve(base, float(tau))
-        grid = husimi_q(state, half_width=section.half_width,
+        grid = husimi_q(kerr_evolve(amplitudes, float(tau)), half_width=section.half_width,
                         resolution=section.resolution)
         _check_finite(grid.values, f"Husimi Q at tau={float(tau):g}")
         stem = f"{config.name}_husimi_tau_{_tau_label(tau)}"
@@ -524,15 +523,20 @@ def write_json(path, payload: dict) -> None:
 
 
 def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Apply CLI-style overrides (nu, m, theta, tau_steps, name); a rejected
-    value raises ConfigError naming its field."""
-    init_changes = {key: overrides[key] for key in ("nu", "m", "theta")
-                    if overrides.get(key) is not None}
+    """Apply CLI-style overrides (nu, m, theta, tau_steps, taus, resolution,
+    name); None leaves a field as it is, and a rejected value raises
+    ConfigError naming its section."""
+    def changes(*keys):
+        return {key: overrides[key] for key in keys if overrides.get(key) is not None}
+
     with config_errors("initial"):
-        initial = replace(config.initial, **init_changes)
+        initial = replace(config.initial, **changes("nu", "m", "theta"))
     with config_errors("time_grid"):
         time_grid = (config.time_grid if overrides.get("tau_steps") is None
                      else replace(config.time_grid, steps=overrides["tau_steps"]))
+    with config_errors("husimi"):
+        husimi = replace(config.husimi, **changes("taus", "resolution"))
     name = config.name if overrides.get("name") is None else overrides["name"]
     with config_errors("config"):
-        return replace(config, initial=initial, time_grid=time_grid, name=name)
+        return replace(config, initial=initial, time_grid=time_grid, husimi=husimi,
+                       name=name)

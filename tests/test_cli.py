@@ -137,6 +137,27 @@ def test_husimi_rejects_non_finite_tau_flag(tmp_path, capsys, tau):
     assert not (tmp_path / "h_husimi.json").exists()
 
 
+# (--nu, exit code): a bad nu is a config error and a huge one is infeasible;
+# each once ended in a traceback (1e12 in a MemoryError under a 2 GB address-space limit).
+ORACLE_BAD_NU = {"-1": 1, "nan": 1, "inf": 1, "1e7": 2, "1e12": 2}
+
+
+@pytest.mark.parametrize("nu", sorted(ORACLE_BAD_NU))
+def test_oracle_check_refuses_bad_nu(capsys, monkeypatch, nu):
+    def refuse(*args):
+        raise AssertionError("the cutoff's weight arrays were built for a bad nu")
+
+    monkeypatch.setattr(fock, "_converged_weights", refuse)
+    code = ORACLE_BAD_NU[nu]
+    assert run_cli(["oracle-check", "--nu", nu]) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    prefix = "config error: nu: " if code == 1 else "infeasible scenario: "
+    assert not any("Traceback" in line for line in lines)
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert captured.out == ""
+
+
 _DECAY = {"initial": {"nu": 1.0},
           "channel": {"gamma_tau_grid": {"start": 0, "stop": 0.2, "steps": 2}}}
 

@@ -14,7 +14,9 @@ from kerrsplit.entanglement import (
     schmidt_spectrum,
     von_neumann_entropy,
 )
-from kerrsplit.fock import InitialStateSpec, choose_cutoff, fock_state
+from kerrsplit.fock import InitialStateSpec, choose_cutoff
+
+FOCK5 = np.eye(9, dtype=complex)[5]  # |5> over levels 0..8
 
 
 def bell_like():
@@ -42,7 +44,7 @@ def test_rank_one_spectrum():
 
 
 def test_fock5_split_spectrum_is_binomial():
-    lam = schmidt_spectrum(split_amplitudes(fock_state(5, 8).amplitudes))
+    lam = schmidt_spectrum(split_amplitudes(FOCK5))
     want = sorted((math.comb(5, p) / 32.0 for p in range(6)), reverse=True)
     assert np.allclose(lam[:6], want, atol=1e-13)
     assert abs(lam.sum() - 1.0) < 1e-10
@@ -61,7 +63,7 @@ def test_binomial_entropy_value():
     # six-term oracle evaluates to ~2.198 ebits
     want = binomial_entropy(5)
     assert abs(want - 2.198192411043098) < 1e-12
-    got = entanglement_entropy(split_amplitudes(fock_state(5, 8).amplitudes))
+    got = entanglement_entropy(split_amplitudes(FOCK5))
     assert abs(got - want) < 1e-10
 
 

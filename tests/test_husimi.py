@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrsplit.fock import InitialStateSpec, build_initial_state, fock_state
+from kerrsplit.fock import InitialStateSpec, build_initial_state
 from kerrsplit.husimi import (
     PhaseSpaceGrid,
     count_peaks,
@@ -23,12 +23,16 @@ from kerrsplit.kerr import kerr_evolve
 INV_PI = 1.0 / math.pi
 
 
+def vacuum(n_cut):
+    return np.eye(n_cut + 1, dtype=complex)[0]
+
+
 def evolved(nu, m, tau):
     return kerr_evolve(build_initial_state(InitialStateSpec(nu=nu, m=m)), tau)
 
 
 def test_vacuum_peaks_at_origin():
-    grid = husimi_q(fock_state(0, 6), half_width=4.0, resolution=161)
+    grid = husimi_q(vacuum(6), half_width=4.0, resolution=161)
     i0 = np.argmin(np.abs(grid.x))
     assert abs(grid.values[i0, i0] - INV_PI) < 1e-12
     assert abs(grid.values.max() - INV_PI) < 1e-9
@@ -225,7 +229,7 @@ def test_importing_the_cli_leaves_out_scipy_ndimage():
 
 def test_husimi_validation():
     with pytest.raises(ValueError):
-        husimi_q(fock_state(0, 3), resolution=1)
+        husimi_q(vacuum(3), resolution=1)
 
 
 def test_default_half_width_grows_with_occupation():
@@ -234,7 +238,7 @@ def test_default_half_width_grows_with_occupation():
 
 
 def test_grid_csv_roundtrip(tmp_path):
-    grid = husimi_q(fock_state(0, 4), half_width=2.0, resolution=5)
+    grid = husimi_q(vacuum(4), half_width=2.0, resolution=5)
     path = tmp_path / "grid.csv"
     write_grid_csv(grid, path)
     lines = path.read_text().strip().splitlines()
@@ -246,7 +250,7 @@ def test_grid_csv_roundtrip(tmp_path):
 
 
 def test_grid_matrix_header(tmp_path):
-    grid = husimi_q(fock_state(0, 4), half_width=2.0, resolution=5)
+    grid = husimi_q(vacuum(4), half_width=2.0, resolution=5)
     path = tmp_path / "grid.qmat"
     write_grid_matrix(grid, path)
     lines = path.read_text().strip().splitlines()

@@ -122,11 +122,15 @@ def test_config_from_json(tmp_path):
 
 
 def test_with_overrides():
-    cfg = with_overrides(small_config(), nu=7.0, m=1, tau_steps=9, name="z")
+    cfg = with_overrides(small_config(), nu=7.0, m=1, tau_steps=9, taus=[0.5, 0.25],
+                         resolution=11, name="z")
     assert cfg.initial.nu == 7.0
     assert cfg.initial.m == 1
     assert cfg.time_grid.steps == 9
+    assert cfg.husimi.taus == (0.5, 0.25)
+    assert cfg.husimi.resolution == 11
     assert cfg.name == "z"
+    assert with_overrides(cfg, taus=None, resolution=None) == cfg
 
 
 @pytest.mark.parametrize("override,needle", [
@@ -135,6 +139,8 @@ def test_with_overrides():
     ({"theta": float("inf")}, "initial"),
     ({"tau_steps": 0}, "time_grid"),
     ({"name": ""}, "name"),
+    ({"resolution": 1}, "husimi"),
+    ({"taus": [0.5, 0.5]}, "husimi"),
 ])
 def test_with_overrides_rejects_bad_values(override, needle):
     with pytest.raises(ConfigError) as err:
