@@ -25,13 +25,14 @@ rho on that offset.
 
 ``negativity_decay_curve`` runs at the state's natural size.  A mode keeps
 the fewest leading levels whose marginal photon-number mass beyond them is
-below ``_TAIL`` of the total, by the tail rule that also sets the Fock
-cutoff (``fock._kept_levels``): phi is trimmed by the marginals of |phi|^2
-before rho is built, and each damped rho again by its diagonal marginals
-before the partial transpose (loss only lowers photon numbers).  The error
-in E_N is O(sqrt(_TAIL)) by the gentle-measurement lemma (Winter 1999).  At
-gamma*tau = 0 the state is pure and E_N is the closed form
-``pure_state_log_negativity`` of the untrimmed phi, so no eigensolve runs.
+below ``fock._TAIL`` of the total, by the tail rule that also sets the Fock
+cutoff and trims the entropy curves: phi is trimmed by the marginals of
+|phi|^2 (``fock._kept_mode_levels``) before rho is built, and each damped rho
+again by its diagonal marginals before the partial transpose (loss only
+lowers photon numbers).  The error in E_N is O(sqrt(_TAIL)) by the
+gentle-measurement lemma (Winter 1999).  At gamma*tau = 0 the state is pure
+and E_N is the closed form ``pure_state_log_negativity`` of the untrimmed
+phi, so no eigensolve runs.
 """
 
 from __future__ import annotations
@@ -42,16 +43,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import log_negativity, pure_state_log_negativity, pure_to_density
-from .fock import DEFAULT_DIM_CAP, _kept_levels, check_dim_cap, check_real, log_factorials
+from .fock import (
+    _TAIL,
+    DEFAULT_DIM_CAP,
+    _kept_levels,
+    _kept_mode_levels,
+    check_dim_cap,
+    check_real,
+    log_factorials,
+)
 
 __all__ = [
     "ChannelParams",
     "damp",
     "negativity_decay_curve",
 ]
-
-# share of a mode's photon-number mass it may drop beyond its kept levels
-_TAIL = 1e-20
 
 
 @dataclass(frozen=True)
@@ -141,8 +147,7 @@ def negativity_decay_curve(
             raise ValueError(f"gamma_tau must be >= 0, got {g}")
     if any(g > 0 for g in gamma_tau_values) and params.gamma1 <= 0:
         raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")
-    mass = np.abs(phi) ** 2
-    n1, n2 = _kept_levels(mass.sum(axis=1), _TAIL), _kept_levels(mass.sum(axis=0), _TAIL)
+    n1, n2 = _kept_mode_levels(np.abs(phi) ** 2)
     rho0 = pure_to_density(phi[:n1, :n2])
     curve = []
     for g in gamma_tau_values:

@@ -6,9 +6,12 @@ operates on the arrays built here.  One builder,
 ``build_initial_state``, makes every input, coherent or photon-added, and
 renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
 (the fewest leading levels that hold all but a tail of the weight), sets the
-cutoff, refuses a cutoff that would drop ``tail_tol`` of the state, and
-trims each output mode in ``decoherence``.  Factorials and binomials are in
-log space, from ``log_factorials``, so levels near n = 100 stay finite.
+cutoff and refuses a cutoff that would drop ``tail_tol`` of the state; at
+``_TAIL`` of each output mode's photon-number mass, ``_kept_mode_levels``
+trims both modes of the split state, once per curve, for the Schmidt SVDs
+in ``sweep`` and the loss channel in ``decoherence``.  Factorials and
+binomials are in log space, from ``log_factorials``, so levels near n = 100
+stay finite.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ __all__ = [
 
 
 DEFAULT_DIM_CAP = 4096  # largest side of a square matrix a pipeline may build
+
+# share of an output mode's photon-number mass it may drop beyond its kept levels
+_TAIL = 1e-20
 
 
 class CutoffTooSmallError(ValueError):
@@ -142,6 +148,13 @@ def _kept_levels(weights: np.ndarray, tail: float) -> int:
     the total, is below ``tail``; at least one."""
     beyond = np.cumsum(weights[:0:-1])[::-1] / weights.sum()  # beyond[k]: above level k
     return int(np.count_nonzero(beyond >= tail)) + 1
+
+
+def _kept_mode_levels(mass: np.ndarray) -> tuple[int, int]:
+    """Kept levels of modes c and d of a two-mode state whose photon-number
+    mass is mass[p, k] = |phi[p, k]|^2: ``_kept_levels`` of each mode's
+    marginal at ``_TAIL``."""
+    return _kept_levels(mass.sum(axis=1), _TAIL), _kept_levels(mass.sum(axis=0), _TAIL)
 
 
 def choose_cutoff(nu: float, m: int, policy: CutoffPolicy = CutoffPolicy()) -> int:

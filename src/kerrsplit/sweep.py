@@ -10,9 +10,14 @@ Scenarios are plain JSON documents.  Every pipeline stage is deterministic
 (there is no randomness anywhere), so identical configs produce byte-identical
 CSV files.
 
-Pure-state curves run as batches: the cutoff and the initial state are built
-once per curve (once per nu column of a surface), and the Kerr phases, the
-splitter and the Schmidt SVDs run on blocks of tau values at a time.
+Pure-state curves run as batches: the cutoff, the initial state and the
+per-mode trim are chosen once per curve (once per nu column of a surface),
+and the Kerr phases, the splitter and the Schmidt SVDs run on blocks of tau
+values at a time.  Kerr evolution is diagonal in photon number, so each
+output mode's marginal is the same at every tau and equal between the modes;
+the trim keeps the levels that hold all but ``fock._TAIL`` of it
+(``fock._kept_mode_levels``), found from |c|^2 alone, and the splitter builds
+only that (kept, kept) block, so the SVDs run at the state's natural size.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import __version__
 
-from .beamsplitter import output_at_time, split_amplitudes
+from .beamsplitter import _split_kept, _split_mass, output_at_time
 from .decoherence import ChannelParams, negativity_decay_curve
 from .entanglement import entanglement_entropy
 from .fock import (
@@ -37,6 +42,7 @@ from .fock import (
     CutoffPolicy,
     InfeasibleScenarioError,
     InitialStateSpec,
+    _kept_mode_levels,
     build_initial_state,
     check_dim_cap,
     check_int,
@@ -276,14 +282,17 @@ def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
                     policy: CutoffPolicy) -> np.ndarray:
     """Entanglement entropy at every tau for one initial state, equal to
     entanglement_entropy(output_at_time(spec, tau, n_cut, policy)) point by
-    point, with the state built once and the rest run in bounded blocks."""
+    point up to the dropped tail, with the state built once and the rest run
+    in bounded blocks on each output mode's kept levels."""
     amplitudes = build_initial_state(spec, n_cut=n_cut, policy=policy)
-    d = n_cut + 1
-    block = max(1, _BLOCK_BYTES // (16 * d * d))
+    # the splitter's exchange symmetry makes the modes' marginals equal: one size fits both
+    kept = max(_kept_mode_levels(_split_mass(amplitudes)))
+    amplitudes = amplitudes[:2 * kept - 1]  # the input levels the kept block reads
+    block = max(1, _BLOCK_BYTES // (16 * kept * kept))
     out = np.empty(len(taus))
     for start in range(0, len(taus), block):
         rows = kerr_evolve(amplitudes, taus[start:start + block])
-        out[start:start + block] = entanglement_entropy(split_amplitudes(rows))
+        out[start:start + block] = entanglement_entropy(_split_kept(rows, kept))
     _check_finite(out, f"entropy of (nu={spec.nu:g}, m={spec.m})")
     return out
 

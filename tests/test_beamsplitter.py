@@ -1,9 +1,10 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
-from kerrsplit.beamsplitter import output_at_time, split_amplitudes
+from kerrsplit.beamsplitter import _split_kept, _split_mass, output_at_time, split_amplitudes
 from kerrsplit.entanglement import entanglement_entropy
 from kerrsplit.fock import (
     InitialStateSpec,
@@ -143,3 +144,32 @@ def test_stacked_rows_split_exactly_like_single_states():
     assert stack.shape == (7, 10, 10)
     for row, phi in zip(amps, stack):
         assert np.array_equal(phi, split_amplitudes(row))
+
+
+# ---------------------------------------------------------------- per-mode trim
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(0.0, 30.0), m=st.integers(0, 6), tau=st.floats(-2.0, 2.0))
+def test_mode_marginals_are_equal_and_do_not_depend_on_tau(nu, m, tau):
+    # Kerr evolution is diagonal in photon number and the splitter is
+    # symmetric under exchanging its output modes, so one trim per curve
+    # serves both modes at every tau
+    spec = InitialStateSpec(nu=nu, m=m)
+    mass0 = np.abs(output_at_time(spec, 0.0)) ** 2
+    mass = np.abs(output_at_time(spec, tau)) ** 2
+    assert np.allclose(mass.sum(axis=1), mass0.sum(axis=1), rtol=0, atol=1e-15)
+    assert np.allclose(mass.sum(axis=0), mass0.sum(axis=0), rtol=0, atol=1e-15)
+    assert np.allclose(mass.sum(axis=1), mass.sum(axis=0), rtol=0, atol=1e-15)
+    assert np.allclose(_split_mass(build_initial_state(spec)), mass, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 70), data=st.data())
+def test_trimmed_split_is_the_top_left_block_of_the_full_split(d, data):
+    kept = data.draw(st.integers(1, d), label="kept")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    block = split_amplitudes(rows)[:, :kept, :kept]
+    assert np.array_equal(_split_kept(rows, kept), block)
+    # the block reads only input levels below 2 * kept - 1
+    assert np.array_equal(_split_kept(rows[:, :2 * kept - 1], kept), block)
