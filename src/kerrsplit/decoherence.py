@@ -26,10 +26,10 @@ rho on that offset.
 ``negativity_decay_curve`` runs at the state's natural size.  A mode keeps
 the fewest leading levels whose marginal photon-number mass beyond them is
 below ``fock._TAIL`` of the total, by the tail rule that also sets the Fock
-cutoff and trims the entropy curves: phi is trimmed by the marginals of
-|phi|^2 (``fock._kept_mode_levels``) before rho is built, and each damped rho
-again by its diagonal marginals before the partial transpose (loss only
-lowers photon numbers).  The error in E_N is O(sqrt(_TAIL)) by the
+cutoff and trims the entropy curves.  ``fock._kept_mode_levels`` takes the
+photon-number mass: |phi|^2 trims phi before rho is built, and the diagonal
+rho[a, b, a, b] trims each damped rho before the partial transpose (loss
+only lowers photon numbers).  The error in E_N is O(sqrt(_TAIL)) by the
 gentle-measurement lemma (Winter 1999).  At gamma*tau = 0 the state is pure
 and E_N is the closed form ``pure_state_log_negativity`` of the untrimmed
 phi, so no eigensolve runs.
@@ -43,15 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import log_negativity, pure_state_log_negativity, pure_to_density
-from .fock import (
-    _TAIL,
-    DEFAULT_DIM_CAP,
-    _kept_levels,
-    _kept_mode_levels,
-    check_dim_cap,
-    check_real,
-    log_factorials,
-)
+from .fock import DEFAULT_DIM_CAP, _kept_mode_levels, check_dim_cap, check_real, log_factorials
 
 __all__ = [
     "ChannelParams",
@@ -155,7 +147,6 @@ def negativity_decay_curve(
             curve.append((g, pure_state_log_negativity(phi)))
             continue
         rho = damp(rho0, g / params.gamma1, params, dim_cap)
-        n1 = _kept_levels(np.einsum("abab->a", rho).real, _TAIL)
-        n2 = _kept_levels(np.einsum("abab->b", rho).real, _TAIL)
+        n1, n2 = _kept_mode_levels(np.einsum("abab->ab", rho).real)
         curve.append((g, log_negativity(rho[:n1, :n2, :n1, :n2])))
     return curve

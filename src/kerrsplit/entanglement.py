@@ -71,15 +71,11 @@ def pure_to_density(phi: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj()).reshape(phi.shape * 2)
 
 
-def partial_transpose(rho: np.ndarray, mode: str = "c") -> np.ndarray:
-    """Transpose one mode of rho[m1,m2,n1,n2]: mode c swaps (m1, n1), mode d
-    swaps (m2, n2).  An involution; the result is Hermitian but in general
-    not positive."""
-    if mode in ("c", 0):
-        return np.ascontiguousarray(np.swapaxes(rho, 0, 2))
-    if mode in ("d", 1):
-        return np.ascontiguousarray(np.swapaxes(rho, 1, 3))
-    raise ValueError(f"mode must be 'c' or 'd', got {mode!r}")
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose mode c of rho[m1,m2,n1,n2], swapping (m1, n1).  An
+    involution; the result is Hermitian but in general not positive.  The
+    transpose of mode d is its full transpose, so both have one spectrum."""
+    return np.ascontiguousarray(np.swapaxes(rho, 0, 2))
 
 
 def _flatten(rho: np.ndarray) -> np.ndarray:
@@ -87,14 +83,14 @@ def _flatten(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(d1 * d2, d1 * d2)
 
 
-def log_negativity(rho: np.ndarray, mode: str = "c") -> float:
+def log_negativity(rho: np.ndarray) -> float:
     """log2 of the trace norm of the partial transpose, clipped at 0.
 
     For a Hermitian operator the trace norm is the sum of absolute
     eigenvalues; magnitudes below 1e-12 are discarded as roundoff.  NaN when
     rho or the eigenvalues are not finite.
     """
-    flat = _flatten(partial_transpose(rho, mode))
+    flat = _flatten(partial_transpose(rho))
     if not np.isfinite(flat).all():
         return math.nan
     eig = np.linalg.eigvalsh(flat)

@@ -6,10 +6,11 @@ operates on the arrays built here.  One builder,
 ``build_initial_state``, makes every input, coherent or photon-added, and
 renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
 (the fewest leading levels that hold all but a tail of the weight), sets the
-cutoff and refuses a cutoff that would drop ``tail_tol`` of the state; at
-``_TAIL`` of each output mode's photon-number mass, ``_kept_mode_levels``
-trims both modes of the split state, once per curve, for the Schmidt SVDs
-in ``sweep`` and the loss channel in ``decoherence``.  Factorials and
+cutoff and refuses a cutoff that would drop ``tail_tol`` of the state.
+One trim call, ``_kept_mode_levels``, applies that rule at ``_TAIL`` to each
+output mode's marginal of a two-mode photon-number mass: |phi|^2 once per
+curve for the Schmidt SVDs in ``sweep`` and the loss channel in
+``decoherence``, and the diagonal of each damped rho there.  Factorials and
 binomials are in log space, from ``log_factorials``, so levels near n = 100
 stay finite.
 """
@@ -152,8 +153,8 @@ def _kept_levels(weights: np.ndarray, tail: float) -> int:
 
 def _kept_mode_levels(mass: np.ndarray) -> tuple[int, int]:
     """Kept levels of modes c and d of a two-mode state whose photon-number
-    mass is mass[p, k] = |phi[p, k]|^2: ``_kept_levels`` of each mode's
-    marginal at ``_TAIL``."""
+    mass is mass[p, k] (|phi[p, k]|^2 for a pure state, rho[p, k, p, k] for a
+    mixed one): ``_kept_levels`` of each mode's marginal at ``_TAIL``."""
     return _kept_levels(mass.sum(axis=1), _TAIL), _kept_levels(mass.sum(axis=0), _TAIL)
 
 

@@ -14,10 +14,10 @@ Pure-state curves run as batches: the cutoff, the initial state and the
 per-mode trim are chosen once per curve (once per nu column of a surface),
 and the Kerr phases, the splitter and the Schmidt SVDs run on blocks of tau
 values at a time.  Kerr evolution is diagonal in photon number, so each
-output mode's marginal is the same at every tau and equal between the modes;
-the trim keeps the levels that hold all but ``fock._TAIL`` of it
-(``fock._kept_mode_levels``), found from |c|^2 alone, and the splitter builds
-only that (kept, kept) block, so the SVDs run at the state's natural size.
+output mode's marginal is the same at every tau and equal between the modes.
+The trim is ``fock._kept_mode_levels`` of |phi|^2 at tau = 0, one full
+split of the input row, and ``split_amplitudes`` then builds only the
+(kept, kept) block of each tau, so the SVDs run at the state's natural size.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 
-from .beamsplitter import _split_kept, _split_mass, output_at_time
+from .beamsplitter import output_at_time, split_amplitudes
 from .decoherence import ChannelParams, negativity_decay_curve
 from .entanglement import entanglement_entropy
 from .fock import (
@@ -191,6 +191,8 @@ class ChannelSection:
         object.__setattr__(self, "m_values", _as_tuple("m_values", self.m_values))
         for m in self.m_values:
             check_int("m_values", m, 0)
+        if len(set(self.m_values)) < len(self.m_values):
+            raise ValueError(f"m_values must not repeat, got {list(self.m_values)}")
 
 
 # Config fields that hold a section, built from a JSON object by its class.
@@ -285,14 +287,14 @@ def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
     point up to the dropped tail, with the state built once and the rest run
     in bounded blocks on each output mode's kept levels."""
     amplitudes = build_initial_state(spec, n_cut=n_cut, policy=policy)
-    # the splitter's exchange symmetry makes the modes' marginals equal: one size fits both
-    kept = max(_kept_mode_levels(_split_mass(amplitudes)))
-    amplitudes = amplitudes[:2 * kept - 1]  # the input levels the kept block reads
+    # Kerr evolution leaves |phi|^2 as it is at tau = 0, and the splitter's
+    # exchange symmetry makes the modes' marginals equal: one size fits both
+    kept = max(_kept_mode_levels(np.abs(split_amplitudes(amplitudes)) ** 2))
     block = max(1, _BLOCK_BYTES // (16 * kept * kept))
     out = np.empty(len(taus))
     for start in range(0, len(taus), block):
         rows = kerr_evolve(amplitudes, taus[start:start + block])
-        out[start:start + block] = entanglement_entropy(_split_kept(rows, kept))
+        out[start:start + block] = entanglement_entropy(split_amplitudes(rows, kept))
     _check_finite(out, f"entropy of (nu={spec.nu:g}, m={spec.m})")
     return out
 
@@ -454,7 +456,10 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
     for tau in section.taus:
         grid = husimi_q(kerr_evolve(amplitudes, float(tau)), half_width=section.half_width,
                         resolution=section.resolution)
-        _check_finite(grid.values, f"Husimi Q at tau={float(tau):g}")
+        what = f"Husimi Q at tau={float(tau):g}"
+        _check_finite(grid.values, what)
+        normalization = grid.normalization()  # overflows in a huge window
+        _check_finite(normalization, what)
         stem = f"{config.name}_husimi_tau_{_tau_label(tau)}"
         csv_path = out_dir / f"{stem}.csv"
         mat_path = out_dir / f"{stem}.qmat"
@@ -466,7 +471,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
                 "peak_count": count_peaks(grid, section.rel_threshold),
                 "files": [csv_path.name, mat_path.name],
                 "q_max_value": float(grid.values.max()),
-                "normalization": grid.normalization(),
+                "normalization": normalization,
             }
         )
     return {

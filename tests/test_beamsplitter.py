@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
-from kerrsplit.beamsplitter import _split_kept, _split_mass, output_at_time, split_amplitudes
+from kerrsplit.beamsplitter import output_at_time, split_amplitudes
 from kerrsplit.entanglement import entanglement_entropy
 from kerrsplit.fock import (
     InitialStateSpec,
@@ -160,7 +161,6 @@ def test_mode_marginals_are_equal_and_do_not_depend_on_tau(nu, m, tau):
     assert np.allclose(mass.sum(axis=1), mass0.sum(axis=1), rtol=0, atol=1e-15)
     assert np.allclose(mass.sum(axis=0), mass0.sum(axis=0), rtol=0, atol=1e-15)
     assert np.allclose(mass.sum(axis=1), mass.sum(axis=0), rtol=0, atol=1e-15)
-    assert np.allclose(_split_mass(build_initial_state(spec)), mass, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,6 +170,13 @@ def test_trimmed_split_is_the_top_left_block_of_the_full_split(d, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     rows = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
     block = split_amplitudes(rows)[:, :kept, :kept]
-    assert np.array_equal(_split_kept(rows, kept), block)
+    assert np.array_equal(split_amplitudes(rows, kept), block)
     # the block reads only input levels below 2 * kept - 1
-    assert np.array_equal(_split_kept(rows[:, :2 * kept - 1], kept), block)
+    assert np.array_equal(split_amplitudes(rows[:, :2 * kept - 1], kept), block)
+
+
+@pytest.mark.parametrize("kept, error", [(0, ValueError), (5, ValueError),
+                                         (2.0, TypeError), (True, TypeError)])
+def test_kept_must_be_a_level_count_from_one_to_d(kept, error):
+    with pytest.raises(error, match="kept"):
+        split_amplitudes(np.ones(4), kept)

@@ -137,6 +137,20 @@ def test_husimi_rejects_non_finite_tau_flag(tmp_path, capsys, tau):
     assert not (tmp_path / "h_husimi.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_husimi_window_whose_mass_overflows_is_infeasible(tmp_path, capsys):
+    # the grid is finite, but sum(Q) * dx * dp overflows to inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "h", "initial": {"nu": 0.0}, "husimi": {
+        "taus": [0.5], "resolution": 21, "half_width": 1e200}}))
+    out = tmp_path / "out"
+    assert run_cli(["husimi", "--config", cfg, "--out-dir", out]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert not any("Traceback" in line for line in lines)
+    assert lines[-1].startswith("infeasible scenario: ")
+    assert not [path for path in out.rglob("*") if path.is_file()]
+
+
 # (--nu, exit code): a bad nu is a config error and a huge one is infeasible;
 # each once ended in a traceback (1e12 in a MemoryError under a 2 GB address-space limit).
 ORACLE_BAD_NU = {"-1": 1, "nan": 1, "inf": 1, "1e7": 2, "1e12": 2}
@@ -188,6 +202,7 @@ BAD_INPUTS = {
     "channel-list": (["decohere"], {"channel": [1]}, 1),
     "m-values-int": (["decohere"], _channel(m_values=5), 1),
     "m-values-negative": (["decohere"], _channel(m_values=[0, -1]), 1),
+    "m-values-repeated": (["decohere"], _channel(m_values=[1, 0, 1]), 1),
     "gamma2-negative": (["decohere"], _channel(gamma2=-0.1), 1),
     "gamma-tau-negative": (["decohere"], {
         "initial": {"nu": 1.0}, "nu_grid": {"start": 1, "stop": 1, "steps": 1},

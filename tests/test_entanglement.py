@@ -102,21 +102,20 @@ def test_pure_to_density_basics():
 def test_partial_transpose_is_involution():
     rng = np.random.default_rng(6)
     rho = pure_to_density(random_phi(rng, 4))
-    for mode in ("c", "d"):
-        assert np.array_equal(partial_transpose(partial_transpose(rho, mode), mode), rho)
+    assert np.array_equal(partial_transpose(partial_transpose(rho)), rho)
 
 
 def test_partial_transpose_of_product_state_stays_positive():
     a = np.array([0.6, 0.8], dtype=complex)
     b = np.array([1.0, 0.0], dtype=complex)
     rho = pure_to_density(np.outer(a, b))
-    eig = np.linalg.eigvalsh(partial_transpose(rho, "c").reshape(4, 4))
+    eig = np.linalg.eigvalsh(partial_transpose(rho).reshape(4, 4))
     assert eig.min() > -1e-12
 
 
 def test_bell_partial_transpose_minimum_eigenvalue():
     rho = pure_to_density(bell_like())
-    eig = np.linalg.eigvalsh(partial_transpose(rho, "c").reshape(4, 4))
+    eig = np.linalg.eigvalsh(partial_transpose(rho).reshape(4, 4))
     assert abs(eig.min() + 0.5) < 1e-12
 
 
@@ -158,13 +157,9 @@ def test_negativity_invariant_under_local_phase_masks():
 def test_log_negativity_mode_choice_agrees():
     rng = np.random.default_rng(10)
     rho = pure_to_density(random_phi(rng, 5))
-    assert abs(log_negativity(rho, "c") - log_negativity(rho, "d")) < 1e-10
-
-
-def test_partial_transpose_rejects_unknown_mode():
-    rho = pure_to_density(bell_like())
-    with pytest.raises(ValueError):
-        partial_transpose(rho, "x")
+    transpose_d = np.swapaxes(rho, 1, 3).reshape(25, 25)
+    trace_norm_d = np.abs(np.linalg.eigvalsh(transpose_d)).sum()
+    assert abs(log_negativity(rho) - math.log2(trace_norm_d)) < 1e-10
 
 
 def test_pure_to_density_takes_rectangular_and_rejects_non_matrix():

@@ -513,21 +513,24 @@ def test_dim_lower_bound_never_exceeds_the_cutoff(nu, m, tail_tol, safety_margin
 
 def test_blocks_bound_the_amplitude_stack(monkeypatch):
     shapes = []
-    real = sweep._split_kept
+    real = sweep.split_amplitudes
 
-    def recording(rows, kept):
+    def recording(rows, kept=None):
         out = real(rows, kept)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(sweep, "_split_kept", recording)
+    monkeypatch.setattr(sweep, "split_amplitudes", recording)
     cfg = small_config(initial=InitialStateSpec(nu=20.0), time_grid=GridSpec(0.0, 1.0, 50))
     run_entropy_curve(cfg)
-    n = kept_levels(20.0, 0)
-    assert n < choose_cutoff(20.0, 0) + 1
-    assert sum(shape[0] for shape in shapes) == 50  # one split per tau, none for the trim
-    assert all(shape[1:] == (n, n) for shape in shapes)
-    assert max(shape[0] for shape in shapes) * 16 * n * n <= _BLOCK_BYTES
+    d, n = choose_cutoff(20.0, 0) + 1, kept_levels(20.0, 0)
+    assert n < d
+    trims = [shape for shape in shapes if len(shape) == 2]
+    blocks = [shape for shape in shapes if len(shape) == 3]
+    assert trims == [(d, d)]
+    assert sum(shape[0] for shape in blocks) == 50  # one split per tau, one per curve for the trim
+    assert all(shape[1:] == (n, n) for shape in blocks)
+    assert max(shape[0] for shape in blocks) * 16 * n * n <= _BLOCK_BYTES
 
 
 # ---------------------------------------------------------------- output
