@@ -33,6 +33,27 @@ only lowers photon numbers).  The error in E_N is O(sqrt(_TAIL)) by the
 gentle-measurement lemma (Winter 1999).  At gamma*tau = 0 the state is pure
 and E_N is the closed form ``pure_state_log_negativity`` of the untrimmed
 phi, so no eigensolve runs.
+
+Each damped point takes one of two eigensolves of the partial transpose,
+chosen once per curve.  The splitter writes
+phi[p, k] = c[p+k] * sqrt(C(p+k, p) / 2^(p+k)) * i^k, so A = phi * diag(i^-k)
+is symmetric.  Dropping i^k is a local phase on mode d; the loss channel is
+phase covariant and E_N ignores local unitaries, so the curve of A is the
+curve of phi.  With gamma1 == gamma2 the damped state of A is invariant
+under swapping the modes, and its partial transpose is then real symmetric
+in the basis |aa>, (|ab> + |ba>)/sqrt(2), i(|ab> - |ba>)/sqrt(2), a < b
+(the orthogonal class of Dyson's threefold way, J. Math. Phys. 3, 1199
+(1962)).  So a real n^2 x n^2 eigvalsh replaces the complex one:
+``entanglement._swap_invariant_real_form`` builds a real array whose partial
+transpose is that matrix, and ``log_negativity`` solves it, so both routes
+share one eigvalsh -> trace norm -> log2 tail.  Under the symmetry both
+marginals are equal, and both modes keep the larger of their kept sizes.
+
+The real route runs exactly when gamma1 == gamma2 and phi is square with
+max|A - A^T| <= 1e-12 * max|A| (splitter outputs meet this to ~1e-15).
+Equal rates alone are not enough: a phi that is not symmetric gives a
+damped state without the symmetry.  Every other input takes the complex
+route on the (n1, n2) trim.
 """
 
 from __future__ import annotations
@@ -42,7 +63,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import log_negativity, pure_state_log_negativity, pure_to_density
+from .beamsplitter import _I_POW
+from .entanglement import (
+    _swap_invariant_real_form,
+    log_negativity,
+    pure_state_log_negativity,
+    pure_to_density,
+)
 from .fock import DEFAULT_DIM_CAP, _kept_mode_levels, check_dim_cap, check_real, log_factorials
 
 __all__ = [
@@ -50,6 +77,9 @@ __all__ = [
     "damp",
     "negativity_decay_curve",
 ]
+
+# splitter outputs are symmetric after the rotation to ~1e-15 of their largest entry
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,25 +158,47 @@ def negativity_decay_curve(
     """Log negativity of the damped state at each gamma*tau on the grid.
 
     The abscissa is gamma1 * tau (the paper-style axis; with equal couplings
-    it is the common gamma*tau).  The dimension check, on the untrimmed d^2,
-    runs before any work so infeasible inputs fail fast.
+    it is the common gamma*tau).  ``phi`` must be a finite 2-D array with a
+    nonzero norm.  The dimension check, on the untrimmed d^2, runs before any
+    work so infeasible inputs fail fast.  With gamma1 == gamma2 and a phi
+    that is symmetric once its reflection phase is dropped, as every splitter
+    output is, each point takes the real eigensolve (see the module
+    docstring); any other input takes the complex one.
     """
     phi = np.asarray(phi, dtype=complex)
+    if phi.ndim != 2 or not np.isfinite(phi).all():
+        raise ValueError(f"phi must be a finite 2-D array, got shape {phi.shape}")
+    with np.errstate(over="ignore"):  # an overflowing mass is refused below
+        mass = np.abs(phi) ** 2
+    if not 0.0 < mass.sum() < math.inf:
+        raise ValueError("phi must have a finite, nonzero norm")
     check_dim_cap(phi.size, dim_cap, "two-mode density matrix")
-    gamma_tau_values = [float(g) for g in gamma_tau_values]
+    gamma_tau_values = [float(check_real("gamma_tau", g)) for g in gamma_tau_values]
     for g in gamma_tau_values:
-        if check_real("gamma_tau", g) < 0:
+        if g < 0:
             raise ValueError(f"gamma_tau must be >= 0, got {g}")
     if any(g > 0 for g in gamma_tau_values) and params.gamma1 <= 0:
         raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")
-    n1, n2 = _kept_mode_levels(np.abs(phi) ** 2)
-    rho0 = pure_to_density(phi[:n1, :n2])
+    rotated = phi * _I_POW[np.arange(phi.shape[1]) % 4].conj()  # the splitter's i^k dropped
+    swap_invariant = (
+        params.gamma1 == params.gamma2
+        and phi.shape[0] == phi.shape[1]
+        and np.abs(rotated - rotated.T).max() <= _SYMMETRY_TOL * np.abs(rotated).max()
+    )
+
+    def kept(mass: np.ndarray) -> tuple[int, int]:
+        n1, n2 = _kept_mode_levels(mass)
+        return (max(n1, n2),) * 2 if swap_invariant else (n1, n2)
+
+    n1, n2 = kept(mass)
+    rho0 = pure_to_density((rotated if swap_invariant else phi)[:n1, :n2])
     curve = []
     for g in gamma_tau_values:
         if g == 0.0:
             curve.append((g, pure_state_log_negativity(phi)))
             continue
         rho = damp(rho0, g / params.gamma1, params, dim_cap)
-        n1, n2 = _kept_mode_levels(np.einsum("abab->ab", rho).real)
-        curve.append((g, log_negativity(rho[:n1, :n2, :n1, :n2])))
+        n1, n2 = kept(np.einsum("abab->ab", rho).real)
+        rho = rho[:n1, :n2, :n1, :n2]
+        curve.append((g, log_negativity(_swap_invariant_real_form(rho) if swap_invariant else rho)))
     return curve

@@ -16,7 +16,7 @@ from kerrsplit.entanglement import (
     pure_state_log_negativity,
     pure_to_density,
 )
-from kerrsplit.fock import InfeasibleScenarioError, InitialStateSpec
+from kerrsplit.fock import InfeasibleScenarioError, InitialStateSpec, _kept_mode_levels
 
 GAMMA = ChannelParams()  # 0.1 / 0.1
 
@@ -222,6 +222,22 @@ def test_damp_input_validation():
             negativity_decay_curve(phi, [0.0, gamma_tau])
 
 
+@pytest.mark.parametrize(
+    "phi, gamma_taus, error, name",
+    [
+        (np.full((3, 3), np.nan), [0.0, 0.5], ValueError, "phi"),
+        (np.ones(4) / 2.0, [0.0, 0.5], ValueError, "phi"),
+        (np.zeros((3, 3)), [0.0, 0.5], ValueError, "phi"),
+        (np.full((2, 2), 1e200), [0.0, 0.5], ValueError, "phi"),
+        (np.eye(2) / math.sqrt(2.0), ["0.5"], TypeError, "gamma_tau"),
+    ],
+    ids=["nan-phi", "1d-phi", "zero-phi", "mass-overflows-phi", "string-gamma-tau"],
+)
+def test_bad_curve_input_raises_a_named_error(phi, gamma_taus, error, name):
+    with pytest.raises(error, match=name):
+        negativity_decay_curve(phi, gamma_taus)
+
+
 def test_decay_curve_starts_at_closed_form_and_decreases():
     phi = output_at_time(InitialStateSpec(nu=2.0), 0.5)
     curve = negativity_decay_curve(phi, [0.0, 0.1, 0.3, 0.6, 1.0])
@@ -283,3 +299,60 @@ def test_decay_curve_vanishes_for_strong_damping():
     phi = output_at_time(InitialStateSpec(nu=5.0), 0.5)
     (_, en), = negativity_decay_curve(phi, [3.0])
     assert en < 1e-3
+
+
+def test_equal_rates_on_a_non_symmetric_phi_match_the_untrimmed_reference():
+    """Equal rates alone do not make the damped state swap invariant: a
+    random phi must keep the complex eigensolve."""
+    rng = np.random.default_rng(8)
+    phi = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    phi /= np.linalg.norm(phi)
+    gamma_taus = [0.1, 0.3, 1.0]
+    got = [en for _, en in negativity_decay_curve(phi, gamma_taus)]
+    assert np.max(np.abs(np.subtract(got, untrimmed_curve(phi, gamma_taus)))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "phi, params, dtype",
+    [
+        (output_at_time(InitialStateSpec(nu=2.0, m=1), 0.3), GAMMA, float),
+        (output_at_time(InitialStateSpec(nu=2.0, m=1), 0.3), ChannelParams(0.1, 0.2), complex),
+        (output_at_time(InitialStateSpec(nu=2.0, m=1), 0.3)[:, :-1], GAMMA, complex),
+        (np.random.default_rng(9).normal(size=(4, 4)) / 4.0, GAMMA, complex),
+    ],
+    ids=["splitter-equal-rates", "splitter-unequal-rates", "not-square", "random-phi"],
+)
+def test_only_swap_invariant_states_take_the_real_eigensolve(monkeypatch, phi, params, dtype):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(mat):
+        seen.append(mat.dtype)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    negativity_decay_curve(phi, [0.0, 0.2, 0.7], params)
+    assert seen == [np.dtype(dtype)] * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nu=st.floats(0.0, 2.0),
+    m=st.integers(0, 3),
+    tau=st.floats(0.0, 1.0),
+    gamma=st.floats(0.01, 1.0),
+    gamma_tau=st.floats(0.01, 2.0),
+)
+def test_real_eigensolve_equals_complex_eigensolve_on_the_same_trimmed_state(
+    nu, m, tau, gamma, gamma_tau
+):
+    """At equal rates the curve runs the real eigensolve on the splitter's
+    output without its reflection phase; the complex eigensolve of the same
+    trimmed state with the phase kept gives the same E_N."""
+    params = ChannelParams(gamma1=gamma, gamma2=gamma)
+    phi = output_at_time(InitialStateSpec(nu=nu, m=m), tau)
+    (_, got), = negativity_decay_curve(phi, [gamma_tau], params)
+    n = max(_kept_mode_levels(np.abs(phi) ** 2))
+    rho = damp(pure_to_density(phi[:n, :n]), gamma_tau / gamma, params)
+    n = max(_kept_mode_levels(np.einsum("abab->ab", rho).real))
+    assert abs(got - log_negativity(rho[:n, :n, :n, :n])) < 1e-12
