@@ -18,10 +18,15 @@ The sum factorizes per mode, and each factor is that mode's amplitude-damping
 Kraus sum (Nielsen & Chuang, section 8.3.5): R_j = a_p[m_j] * a_p[n_j] with
 a_p[m] = C(m+p, p)^(1/2) * (1 - exp(-2g))^(p/2) * exp(-g*m).  The sum maps
 each diagonal offset k = n - m of a mode's (m, n) indices to itself, so
-``damp`` runs it on mode c, then on mode d, as one matrix product per offset:
-the upper-triangular A_k[i, j] = a_{j-i}[r_i] * a_{j-i}[c_i] (r_i, c_i the
-row and column levels of the i-th entry on the offset) times the block of
-rho on that offset.
+``damp`` runs it on mode c, then on mode d, as one real matrix product per
+offset with the upper-triangular A_k[i, j] = a_{j-i}[r_i] * a_{j-i}[c_i]
+(r_i, c_i the row and column levels of the i-th entry on the offset).  All
+2d - 1 of them come from one vectorized (2d - 1, d, d) table, shared by both
+modes when their sizes and g agree.  Each mode takes one working copy of rho
+with that mode's (m, n) axes first, flattened to rows m*d + n; offset k is
+then the strided slice of every (d + 1)-th row from its first entry, and
+A_k times that view is written back into it in place, with no gather or
+scatter.
 
 ``negativity_decay_curve`` runs at the state's natural size.  A mode keeps
 the fewest leading levels whose marginal photon-number mass beyond them is
@@ -95,35 +100,47 @@ class ChannelParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
-def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
-    """One mode's Kraus sum over its (row, column) ``axes`` of rho:
-
-    rho[..m..n..] <- sum_p a_p[m] a_p[n] rho[..m+p..n+p..], for g = gamma*tau,
-
-    as one real matrix product per diagonal offset k = n - m.
-    """
-    if g == 0.0:
-        return rho
-    d = rho.shape[axes[0]]
+def _offset_weights(d: int, g: float) -> np.ndarray:
+    """The A_k of the module docstring for every offset k of a mode with d
+    levels and g = gamma*tau > 0, as one (2d - 1, d, d) table: A_k is
+    W[k + d - 1, :d - |k|, :d - |k|], and every other entry is 0."""
     lgfact = log_factorials(d)
     log_loss = math.log(-math.expm1(-2.0 * g))  # ln(1 - exp(-2g))
     p, m = np.ogrid[:d, :d]
     # a[p, m] = a_p[m]; only entries with m + p < d are ever read
     a = np.exp(0.5 * (lgfact[np.minimum(m + p, d - 1)] - lgfact[p] - lgfact[m]
                       + p * log_loss) - g * m)
-    out = np.empty_like(rho)
-    index = [slice(None)] * 4
+    k, i, j = np.ogrid[1 - d:d, :d, :d]
+    shift = j - i
+    used = (shift >= 0) & (j < d - abs(k))
+    lift = np.where(used, shift, 0)  # unused entries read a in range, then drop out
+    rows = np.minimum(i + np.maximum(0, -k), d - 1)
+    cols = np.minimum(i + np.maximum(0, k), d - 1)
+    return np.where(used, a[lift, rows] * a[lift, cols], 0.0)
+
+
+def _damp_mode(rho: np.ndarray, weights: np.ndarray | None, axes: tuple[int, int]) -> np.ndarray:
+    """One mode's Kraus sum over its (row, column) ``axes`` of rho:
+
+    rho[..m..n..] <- sum_p a_p[m] a_p[n] rho[..m+p..n+p..],
+
+    as one real matrix product per diagonal offset k = n - m with that mode's
+    ``_offset_weights``, run in place on one working copy of rho with the
+    damped mode's axes first.  ``weights`` None (g = 0) returns rho itself.
+    """
+    if weights is None:
+        return rho
+    d = rho.shape[axes[0]]
+    work = np.array(np.moveaxis(rho, axes, (0, 1)), order="C")  # rho is never written
+    # row m*d + n holds rho's (m, n) block, real and imaginary parts side by side
+    # (its length spelled out, since -1 cannot be inferred when a mode is empty)
+    flat = work.reshape(d * d, math.prod(work.shape[2:])).view(float)
     for k in range(1 - d, d):
-        i = np.arange(d - abs(k))
-        rows, cols = i + max(0, -k), i + max(0, k)
-        shift = i[None, :] - i[:, None]  # j - i
-        lift = np.maximum(shift, 0)
-        weights = np.where(shift >= 0, a[lift, rows[:, None]] * a[lift, cols[:, None]], 0.0)
-        index[axes[0]], index[axes[1]] = rows, cols
-        block = np.ascontiguousarray(rho[tuple(index)])  # (d - |k|, other, other)
-        flat = block.reshape(len(i), -1).view(float)  # real and imaginary parts side by side
-        out[tuple(index)] = (weights @ flat).view(complex).reshape(block.shape)
-    return out
+        size = d - abs(k)
+        start = max(0, -k) * d + max(0, k)  # the row of the offset's first entry
+        diag = flat[start:start + (size - 1) * (d + 1) + 1:d + 1]  # a view, no copy
+        diag[...] = weights[k + d - 1, :size, :size] @ diag
+    return np.moveaxis(work, (0, 1), axes)
 
 
 def damp(
@@ -145,7 +162,10 @@ def damp(
     if check_real("tau", tau) < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     check_dim_cap(rho.shape[0] * rho.shape[1], dim_cap, "two-mode density matrix")
-    out = _damp_mode(_damp_mode(rho, params.gamma1 * tau, (0, 2)), params.gamma2 * tau, (1, 3))
+    (d1, d2), g1, g2 = rho.shape[:2], params.gamma1 * tau, params.gamma2 * tau
+    w1 = _offset_weights(d1, g1) if g1 else None
+    w2 = w1 if (d2, g2) == (d1, g1) else _offset_weights(d2, g2) if g2 else None
+    out = _damp_mode(_damp_mode(rho, w1, (0, 2)), w2, (1, 3))
     return out.copy() if out is rho else out
 
 

@@ -423,6 +423,7 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     for nu, m, n_cut in states:
         phi = output_at_time(replace(init, nu=nu, m=m), chan.tau, n_cut=n_cut,
                              policy=config.cutoff)
+        _check_finite(phi, f"state of (nu={nu:g}, m={m})")  # a huge tau or theta overflows
         curve = negativity_decay_curve(phi, gamma_taus, params, config.dim_cap)
         _check_finite([en for _, en in curve], f"log negativity of (nu={nu:g}, m={m})")
         rows.extend((g if by_gamma_tau else nu, float(en), m, n_cut) for g, en in curve)

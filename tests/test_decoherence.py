@@ -180,6 +180,55 @@ def test_channel_is_cptp_and_a_semigroup(d1, d2, gamma1, gamma2, tau, split, see
     assert np.max(np.abs(twice - damp(rho, tau_a + tau_b, params))) < 1e-10
 
 
+RATES = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d1=st.integers(1, 7),
+    d2=st.integers(1, 7),
+    gamma1=RATES,
+    gamma2=RATES,
+    tau=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_damp_never_writes_its_input_and_ignores_its_layout(d1, d2, gamma1, gamma2, tau, seed):
+    """damp works on its own copy: the input keeps every bit, and a C-ordered,
+    a Fortran-ordered, a strided and a read-only input give the same bits."""
+    params = ChannelParams(gamma1=gamma1, gamma2=gamma2)
+    rng = np.random.default_rng(seed)
+    shape = (d1, d2, d1, d2)
+    rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = rho.tobytes()
+    want = damp(rho, tau, params)
+    assert rho.tobytes() == before
+    assert not np.shares_memory(want, rho)
+
+    fortran = np.asfortranarray(rho)
+    big = rng.normal(size=(2 * d1, d2 + 1, d1, 3 * d2)) + 0j
+    strided = big[::2, 1:, :, ::3]  # a view inside a larger array
+    strided[...] = rho
+    big_before = big.tobytes()
+    read_only = rho.copy()
+    read_only.setflags(write=False)
+    for layout in (fortran, strided, read_only):
+        assert damp(layout, tau, params).tobytes() == want.tobytes()
+    assert big.tobytes() == big_before
+
+
+@pytest.mark.parametrize("params", [GAMMA, ChannelParams(gamma1=0.1, gamma2=0.3)])
+def test_decay_curve_points_do_not_depend_on_each_other(params):
+    """Each point damps the same undamped state: a curve equals itself on a
+    second call and its one-point curves, and phi is left as it was."""
+    phi = output_at_time(InitialStateSpec(nu=2.0, m=1), 0.5)
+    before = phi.tobytes()
+    grid = [0.0, 0.2, 0.5, 1.0]
+    curve = negativity_decay_curve(phi, grid, params)
+    assert negativity_decay_curve(phi, grid, params) == curve
+    assert [negativity_decay_curve(phi, [g], params)[0] for g in grid] == curve
+    assert phi.tobytes() == before
+
+
 def test_unequal_rates():
     params = ChannelParams(gamma1=0.1, gamma2=0.25)
     phi = np.zeros((2, 2), dtype=complex)
