@@ -16,8 +16,7 @@ from kerrsplit.husimi import (
     count_peaks,
     husimi_q,
     n_max_estimate,
-    write_grid_csv,
-    write_grid_matrix,
+    write_grid,
 )
 from kerrsplit.kerr import kerr_evolve
 
@@ -37,8 +36,7 @@ def main():
         print(f"m = {m:2d}:  " + "   ".join(counts))
 
     grid = husimi_q(kerr_evolve(build_initial_state(InitialStateSpec(nu=5.0)), 0.2))
-    write_grid_csv(grid, OUT / "husimi_nu5_tau0.2.csv")
-    write_grid_matrix(grid, OUT / "husimi_nu5_tau0.2.qmat")
+    write_grid(grid, OUT / "husimi_nu5_tau0.2.csv", OUT / "husimi_nu5_tau0.2.qmat")
     print(f"\nwrote {OUT / 'husimi_nu5_tau0.2.csv'}")
     print(f"wrote {OUT / 'husimi_nu5_tau0.2.qmat'}")
 

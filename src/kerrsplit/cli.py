@@ -6,7 +6,8 @@ plus a few per-field overrides and write artifacts under ``--out-dir``:
 ``entropy``, ``surface`` and ``decohere`` one table as a CSV and a JSON
 summary, ``husimi`` a CSV and a ``.qmat`` per tau plus one JSON summary.
 ``oracle-check`` writes nothing.
-Exit codes: 0 success, 1 invalid configuration or command line,
+Exit codes: 0 success, 1 invalid configuration or command line (an
+``--out-dir`` or artifact path that cannot be written counts as one),
 2 infeasible scenario: over the dimension cap, or a numerical failure (a
 linear-algebra routine that does not converge, or a non-finite result).
 ``oracle-check`` also exits 2 when a fidelity falls short of ``ORACLE_TOL``.
@@ -156,9 +157,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # every result is checked finite, so numpy's overflow warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the output directory or an artifact cannot be written
+        print(f"config error: out-dir: {exc}", file=sys.stderr)
         return 1
     except InfeasibleScenarioError as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)

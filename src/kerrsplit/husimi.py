@@ -11,7 +11,9 @@ sqrt(2)Im alpha), and the phase-space measure is dx dp / 2 (so sum(Q)*dx*dp/2
 is ~1 on a window enclosing the state).  Q is evaluated directly from the
 Fock amplitudes by a Horner pass over the grid.  Peaks are counted by
 topographic prominence with ``prominent_summits``, the same rule that finds
-the entropy minima of a curve in ``sweep``.
+the entropy minima of a curve in ``sweep``.  ``write_grid`` writes a grid
+as a CSV of (x, p, Q) rows and as a dense ``.qmat`` matrix, formatting each
+value once for both files.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ __all__ = [
     "husimi_q",
     "n_max_estimate",
     "prominent_summits",
-    "write_grid_csv",
-    "write_grid_matrix",
+    "write_grid",
 ]
 
 
@@ -55,10 +56,6 @@ class PhaseSpaceGrid:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", values)
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        return float(self.x[0]), float(self.x[-1]), float(self.p[0]), float(self.p[-1])
 
     def normalization(self) -> float:
         """Discrete quasi-probability mass sum(Q)*dx*dp/2; ~1 when the window
@@ -147,29 +144,25 @@ def count_peaks(grid: PhaseSpaceGrid, rel_threshold: float = 0.1) -> int:
 
 
 def _formatted(values: np.ndarray) -> list[str]:
-    """Each entry of a 1-D array as ``.12g`` text.  The writers format one
-    x-row of Q at a time, which keeps their memory at one row."""
+    """Each entry of a 1-D array as ``.12g`` text."""
     return list(map("{:.12g}".format, values.tolist()))
 
 
-def write_grid_csv(grid: PhaseSpaceGrid, path) -> None:
-    """One (x, p, Q) row per grid point, x-major."""
-    ps = _formatted(grid.p)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,p,Q\n")
-        for xv, row in zip(_formatted(grid.x), grid.values):
-            fh.write("".join(f"{xv},{pv},{q}\n" for pv, q in zip(ps, _formatted(row))))
-
-
-def write_grid_matrix(grid: PhaseSpaceGrid, path) -> None:
-    """Dense Q matrix (one x-row per line) preceded by a JSON header line."""
+def write_grid(grid: PhaseSpaceGrid, csv_path, qmat_path) -> None:
+    """Write Q as a CSV, one (x, p, Q) row per grid point, x-major, and as a
+    dense matrix, one x-row per line after a JSON header line.  Each x-row is
+    formatted once for both files, which keeps the memory at one row."""
     header = {
-        "window": list(grid.bounds),
+        "window": [float(grid.x[0]), float(grid.x[-1]), float(grid.p[0]), float(grid.p[-1])],
         "resolution": [len(grid.x), len(grid.p)],
         "row_axis": "x",
         "col_axis": "p",
     }
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        for row in grid.values:
-            fh.write(",".join(_formatted(row)) + "\n")
+    ps = _formatted(grid.p)
+    with open(csv_path, "w", newline="") as csv, open(qmat_path, "w", newline="") as qmat:
+        csv.write("x,p,Q\n")
+        qmat.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        for xv, row in zip(_formatted(grid.x), grid.values):
+            qs = _formatted(row)
+            csv.write("".join(f"{xv},{pv},{q}\n" for pv, q in zip(ps, qs)))
+            qmat.write(",".join(qs) + "\n")

@@ -54,8 +54,7 @@ from .husimi import (
     husimi_q,
     n_max_estimate,
     prominent_summits,
-    write_grid_csv,
-    write_grid_matrix,
+    write_grid,
 )
 from .kerr import kerr_evolve
 
@@ -294,6 +293,7 @@ def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
     out = np.empty(len(taus))
     for start in range(0, len(taus), block):
         rows = kerr_evolve(amplitudes, taus[start:start + block])
+        _check_finite(rows, f"state of (nu={spec.nu:g}, m={spec.m})")  # a huge tau or theta
         out[start:start + block] = entanglement_entropy(split_amplitudes(rows, kept))
     _check_finite(out, f"entropy of (nu={spec.nu:g}, m={spec.m})")
     return out
@@ -464,8 +464,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
         stem = f"{config.name}_husimi_tau_{_tau_label(tau)}"
         csv_path = out_dir / f"{stem}.csv"
         mat_path = out_dir / f"{stem}.qmat"
-        write_grid_csv(grid, csv_path)
-        write_grid_matrix(grid, mat_path)
+        write_grid(grid, csv_path, mat_path)
         entries.append(
             {
                 "tau": float(tau),

@@ -137,7 +137,6 @@ def test_husimi_rejects_non_finite_tau_flag(tmp_path, capsys, tau):
     assert not (tmp_path / "h_husimi.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_husimi_window_whose_mass_overflows_is_infeasible(tmp_path, capsys):
     # the grid is finite, but sum(Q) * dx * dp overflows to inf
     cfg = tmp_path / "cfg.json"
@@ -249,18 +248,18 @@ BAD_INPUTS = {
     "tau-steps-on-decohere": (["decohere", "--tau-steps", "5"], None, 1),
     "decohere-tau-1e308": (["decohere"], _channel(tau=1e308), 2),
     "decohere-theta-1e308": (["decohere"], {**_DECAY, "initial": {"nu": 1, "theta": 1e308}}, 2),
+    "entropy-theta-1e308": (["entropy", "--theta", "1e308", "--tau-steps", "5"], None, 2),
+    "entropy-tau-1e308": (["entropy"], {"time_grid": {"start": 1e308, "stop": 1e308,
+                                                      "steps": 2}}, 2),
+    "husimi-tau-1e308": (["husimi"], {"husimi": {"taus": [1e308], "resolution": 21}}, 2),
 }
 # rows whose Kerr or coherent phase overflows into NaN amplitudes: they are refused
-# only once the state is built, so they reach the cutoff, and numpy reports the
-# overflow with a RuntimeWarning first
-OVERFLOWING = {"decohere-tau-1e308", "decohere-theta-1e308"}
-_IGNORE_OVERFLOW = [pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-                    pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")]
+# only once the state is built, so they reach the cutoff
+OVERFLOWING = {"decohere-tau-1e308", "decohere-theta-1e308", "entropy-theta-1e308",
+               "entropy-tau-1e308", "husimi-tau-1e308"}
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=_IGNORE_OVERFLOW) if case in OVERFLOWING else case
-    for case in sorted(BAD_INPUTS)])
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_ends_in_one_named_error(tmp_path, capsys, monkeypatch, case):
     def refuse(*args):
         raise AssertionError("the cutoff's weight arrays were built for a bad input")
@@ -283,7 +282,31 @@ def test_bad_input_ends_in_one_named_error(tmp_path, capsys, monkeypatch, case):
     assert got == code
     assert not any("Traceback" in line for line in lines)
     assert [line for line in lines if line.startswith(prefix)] == lines[-1:]
+    if case in OVERFLOWING:  # refused as a non-finite state, not a failed SVD
+        assert len(lines) == 1 and lines[0].endswith("gave a non-finite result")
     assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+
+
+# (argv, artifact named "s") of a command that writes files
+WRITING_COMMANDS = {
+    "entropy": (["entropy", "--nu", "1", "--tau-steps", "5"], "s_entropy-curve.csv"),
+    "husimi": (["husimi", "--tau", "0.5", "--resolution", "11"], "s_husimi_tau_0.5.qmat"),
+}
+# --out-dir under tmp_path, where "taken" is a file and out/<artifact> a directory:
+# each once ended in a FileExistsError, NotADirectoryError or IsADirectoryError traceback
+BAD_OUT_DIRS = {"file": "taken", "under-a-file": "taken/out", "artifact-is-a-directory": "out"}
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+@pytest.mark.parametrize("case", sorted(BAD_OUT_DIRS))
+def test_unwritable_out_dir_is_a_config_error(tmp_path, capsys, command, case):
+    argv, artifact = WRITING_COMMANDS[command]
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    assert run_cli([*argv, "--name", "s", "--out-dir", tmp_path / BAD_OUT_DIRS[case]]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: out-dir: ")
+    assert "Traceback" not in lines[0]
 
 
 # (scenario JSON, runner) of each command that writes one table

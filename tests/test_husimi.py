@@ -15,8 +15,7 @@ from kerrsplit.husimi import (
     husimi_q,
     n_max_estimate,
     prominent_summits,
-    write_grid_csv,
-    write_grid_matrix,
+    write_grid,
 )
 from kerrsplit.kerr import kerr_evolve
 
@@ -237,28 +236,69 @@ def test_default_half_width_grows_with_occupation():
     assert default_half_width(10.0) > default_half_width(5.0)
 
 
-def test_grid_csv_roundtrip(tmp_path):
+def test_write_grid_csv_and_matrix(tmp_path):
     grid = husimi_q(vacuum(4), half_width=2.0, resolution=5)
-    path = tmp_path / "grid.csv"
-    write_grid_csv(grid, path)
-    lines = path.read_text().strip().splitlines()
+    csv_path, qmat_path = tmp_path / "grid.csv", tmp_path / "grid.qmat"
+    write_grid(grid, csv_path, qmat_path)
+    lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "x,p,Q"
     assert len(lines) == 1 + 25
     x, p, q = map(float, lines[1].split(","))
     assert (x, p) == (-2.0, -2.0)
     assert abs(q - grid.values[0, 0]) < 1e-12 * max(grid.values[0, 0], 1.0)
-
-
-def test_grid_matrix_header(tmp_path):
-    grid = husimi_q(vacuum(4), half_width=2.0, resolution=5)
-    path = tmp_path / "grid.qmat"
-    write_grid_matrix(grid, path)
-    lines = path.read_text().strip().splitlines()
+    lines = qmat_path.read_text().strip().splitlines()
     header = json.loads(lines[0].lstrip("# "))
     assert header["window"] == [-2.0, 2.0, -2.0, 2.0]
     assert header["resolution"] == [5, 5]
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.allclose(rows, grid.values, atol=1e-12)
+
+
+def write_grid_csv(grid, path):
+    """The reference CSV writer, one file per pass: one (x, p, Q) row per grid
+    point, x-major."""
+    with open(path, "w", newline="") as fh:
+        fh.write("x,p,Q\n")
+        for xv, row in zip(grid.x, grid.values):
+            for pv, q in zip(grid.p, row):
+                fh.write(f"{xv:.12g},{pv:.12g},{q:.12g}\n")
+
+
+def write_grid_matrix(grid, path):
+    """The reference dense-matrix writer: a JSON header line, then one x-row
+    of Q per line."""
+    header = {
+        "window": [float(grid.x[0]), float(grid.x[-1]), float(grid.p[0]), float(grid.p[-1])],
+        "resolution": [len(grid.x), len(grid.p)],
+        "row_axis": "x",
+        "col_axis": "p",
+    }
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        for row in grid.values:
+            fh.write(",".join(f"{q:.12g}" for q in row) + "\n")
+
+
+# grids whose files write_grid must reproduce byte for byte
+WRITER_GRIDS = {
+    "vacuum-5x5": lambda: husimi_q(vacuum(4), half_width=2.0, resolution=5),
+    "nu5-tau1/4-201x201": lambda: husimi_q(evolved(5.0, 0, 0.25)),
+    "nu5-tau1/7-201x201": lambda: husimi_q(evolved(5.0, 0, 1 / 7)),
+    "zeros-tiny-negative-axes": lambda: PhaseSpaceGrid(
+        np.array([-3.5, -2.0, -1e-300]), np.array([-7.25, -0.0, 0.0, 1e-300]),
+        np.array([[0.0, 1e-300, INV_PI, 0.0], [1e-300, 0.0, 0.0, 2.5e-17],
+                  [0.0, 0.0, 0.0, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_GRIDS))
+def test_write_grid_matches_the_reference_writers(tmp_path, case):
+    grid = WRITER_GRIDS[case]()
+    write_grid(grid, tmp_path / "one.csv", tmp_path / "one.qmat")
+    write_grid_csv(grid, tmp_path / "ref.csv")
+    write_grid_matrix(grid, tmp_path / "ref.qmat")
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "one.qmat").read_bytes() == (tmp_path / "ref.qmat").read_bytes()
 
 
 def test_grid_shape_validation():
