@@ -10,9 +10,9 @@ suite runs the full nu = 5, m up to 10 case.
 
 from pathlib import Path
 
-from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.decoherence import negativity_decay_curve
-from kerrsplit.fock import InitialStateSpec
+from kerrsplit.fock import InitialStateSpec, build_initial_state
+from kerrsplit.kerr import kerr_evolve
 
 OUT = Path(__file__).resolve().parent / "output"
 GAMMA_TAUS = [0.1 * k for k in range(11)]
@@ -22,8 +22,8 @@ def main():
     OUT.mkdir(exist_ok=True)
     rows = {}
     for m in (0, 2, 4):
-        phi = output_at_time(InitialStateSpec(nu=2.0, m=m), 0.5)
-        rows[m] = negativity_decay_curve(phi, GAMMA_TAUS)
+        state = kerr_evolve(build_initial_state(InitialStateSpec(nu=2.0, m=m)), 0.5)
+        rows[m] = negativity_decay_curve(state, GAMMA_TAUS)
 
     print("log negativity vs gamma*tau at tau = T_rev/2, nu = 2:\n")
     print("gamma*tau   " + "   ".join(f"m={m}" for m in rows))

@@ -5,6 +5,7 @@ Subcommands: ``entropy``, ``surface``, ``husimi``, ``decohere`` and
 plus a few per-field overrides and write artifacts under ``--out-dir``:
 ``entropy``, ``surface`` and ``decohere`` one table as a CSV and a JSON
 summary, ``husimi`` a CSV and a ``.qmat`` per tau plus one JSON summary.
+A command that fails writes none of its artifacts.
 ``oracle-check`` writes nothing.
 Exit codes: 0 success, 1 invalid configuration or command line (an
 ``--out-dir`` or artifact path that cannot be written counts as one),
@@ -32,7 +33,6 @@ from .sweep import (
     config_from_json,
     run_husimi,
     with_overrides,
-    write_json,
     write_table,
 )
 
@@ -103,15 +103,10 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
                           resolution=getattr(args, "resolution", None), name=args.name)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    return args.out_dir
-
-
 def _cmd_table(args) -> int:
     config = _load_config(args)
     table = getattr(sweep, _TABLE_RUNNERS[args.command])(config)
-    csv_path = _out_dir(args) / f"{config.name}_{table.artifact}.csv"
+    csv_path = args.out_dir / f"{config.name}_{table.artifact}.csv"
     write_table(csv_path, table)
     print(csv_path)
     print(csv_path.with_suffix(".json"))
@@ -120,11 +115,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_husimi(args) -> int:
     config = _load_config(args)
-    out = _out_dir(args)
-    summary = run_husimi(config, out)
-    json_path = out / f"{config.name}_husimi.json"
-    write_json(json_path, summary)
-    print(json_path)
+    run_husimi(config, args.out_dir)
+    print(args.out_dir / f"{config.name}_husimi.json")
     return 0
 
 

@@ -21,44 +21,38 @@ each diagonal offset k = n - m of a mode's (m, n) indices to itself, so
 ``damp`` runs it on mode c, then on mode d, as one real matrix product per
 offset with the upper-triangular A_k[i, j] = a_{j-i}[r_i] * a_{j-i}[c_i]
 (r_i, c_i the row and column levels of the i-th entry on the offset).  All
-2d - 1 of them come from one vectorized (2d - 1, d, d) table, shared by both
-modes when their sizes and g agree.  Each mode takes one working copy of rho
-with that mode's (m, n) axes first, flattened to rows m*d + n; offset k is
-then the strided slice of every (d + 1)-th row from its first entry, and
-A_k times that view is written back into it in place, with no gather or
-scatter.
+2d - 1 of them come from one vectorized (2d - 1, d, d) table per mode.  Each
+mode takes one working copy of rho with that mode's (m, n) axes first,
+flattened to rows m*d + n; offset k is then the strided slice of every
+(d + 1)-th row from its first entry, and A_k times that view is written back
+into it in place, with no gather or scatter.
 
-``negativity_decay_curve`` runs at the state's natural size.  A mode keeps
-the fewest leading levels whose marginal photon-number mass beyond them is
-below ``fock._TAIL`` of the total, by the tail rule that also sets the Fock
-cutoff and trims the entropy curves.  ``fock._kept_mode_levels`` takes the
-photon-number mass: |phi|^2 trims phi before rho is built, and the diagonal
-rho[a, b, a, b] trims each damped rho before the partial transpose (loss
-only lowers photon numbers).  The error in E_N is O(sqrt(_TAIL)) by the
-gentle-measurement lemma (Winter 1999).  At gamma*tau = 0 the state is pure
-and E_N is the closed form ``pure_state_log_negativity`` of the untrimmed
-phi, so no eigensolve runs.
+``negativity_decay_curve`` damps before the splitter.  At equal rates the
+loss generator sum_j gamma D[a_j] is invariant under any passive two-mode
+unitary, and the vacuum in the splitter's second port is a fixed point of
+loss, so damp(BS (sigma x |0><0|) BS^dag) = BS (damp_1(sigma) x |0><0|) BS^dag
+for the single-mode sigma = |c><c| (uniform loss commutes with linear
+optics; Oszmaniec & Brod, New J. Phys. 20, 092002 (2018)).  Each damped
+point runs ``_damp_mode`` on the d x d sigma, then splits it.  Unequal rates
+factor exactly, as the modes' channels commute and each is a semigroup: the
+smaller rate acts on sigma, and the excess on the faster mode after the split.
 
-Each damped point takes one of two eigensolves of the partial transpose,
-chosen once per curve.  The splitter writes
-phi[p, k] = c[p+k] * sqrt(C(p+k, p) / 2^(p+k)) * i^k, so A = phi * diag(i^-k)
-is symmetric.  Dropping i^k is a local phase on mode d; the loss channel is
-phase covariant and E_N ignores local unitaries, so the curve of A is the
-curve of phi.  With gamma1 == gamma2 the damped state of A is invariant
-under swapping the modes, and its partial transpose is then real symmetric
-in the basis |aa>, (|ab> + |ba>)/sqrt(2), i(|ab> - |ba>)/sqrt(2), a < b
-(the orthogonal class of Dyson's threefold way, J. Math. Phys. 3, 1199
-(1962)).  So a real n^2 x n^2 eigvalsh replaces the complex one:
-``entanglement._swap_invariant_real_form`` builds a real array whose partial
-transpose is that matrix, and ``log_negativity`` solves it, so both routes
-share one eigvalsh -> trace norm -> log2 tail.  Under the symmetry both
-marginals are equal, and both modes keep the larger of their kept sizes.
+The split drops the splitter's i^k, a local phase on mode d that the
+phase-covariant channel and E_N ignore, leaving rho[p, k, p', k'] =
+sigma'[p+k, p'+k'] * w[p, k] * w[p', k'] with the symmetric weights
+w[p, k] = sqrt(C(p+k, p) / 2^(p+k)).  Each mode keeps the fewest leading
+levels whose marginal mass beyond them is below ``fock._TAIL``, the rule of
+the Fock cutoff, from mode c's marginal sum_k sigma'[p+k, p+k] * w[p, k]^2,
+which mode d shares; after an excess rate the diagonal of rho trims them
+again.  The error in E_N is O(sqrt(_TAIL)) by the gentle-measurement lemma
+(Winter 1999).  At gamma*tau = 0, E_N is the closed form
+``pure_state_log_negativity`` of the untrimmed split state.
 
-The real route runs exactly when gamma1 == gamma2 and phi is square with
-max|A - A^T| <= 1e-12 * max|A| (splitter outputs meet this to ~1e-15).
-Equal rates alone are not enough: a phi that is not symmetric gives a
-damped state without the symmetry.  Every other input takes the complex
-route on the (n1, n2) trim.
+At equal rates rho is swap invariant, so its partial transpose is real
+symmetric in a fixed basis (the orthogonal class of Dyson's threefold way,
+J. Math. Phys. 3, 1199 (1962)), which ``_split_real_form`` gathers from
+sigma' for the real eigvalsh of ``log_negativity``; unequal rates take the
+complex one.
 """
 
 from __future__ import annotations
@@ -68,13 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamsplitter import _I_POW
-from .entanglement import (
-    _swap_invariant_real_form,
-    log_negativity,
-    pure_state_log_negativity,
-    pure_to_density,
-)
+from .beamsplitter import _splitter_gather, split_amplitudes
+from .entanglement import log_negativity, pure_state_log_negativity
 from .fock import DEFAULT_DIM_CAP, _kept_mode_levels, check_dim_cap, check_real, log_factorials
 
 __all__ = [
@@ -83,8 +72,7 @@ __all__ = [
     "negativity_decay_curve",
 ]
 
-# splitter outputs are symmetric after the rotation to ~1e-15 of their largest entry
-_SYMMETRY_TOL = 1e-12
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -100,10 +88,13 @@ class ChannelParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
-def _offset_weights(d: int, g: float) -> np.ndarray:
+def _offset_weights(d: int, g: float) -> np.ndarray | None:
     """The A_k of the module docstring for every offset k of a mode with d
-    levels and g = gamma*tau > 0, as one (2d - 1, d, d) table: A_k is
-    W[k + d - 1, :d - |k|, :d - |k|], and every other entry is 0."""
+    levels and g = gamma*tau, as one (2d - 1, d, d) table: A_k is
+    W[k + d - 1, :d - |k|, :d - |k|], and every other entry is 0.  None at
+    g = 0, where the mode is not damped."""
+    if not g:
+        return None
     lgfact = log_factorials(d)
     log_loss = math.log(-math.expm1(-2.0 * g))  # ln(1 - exp(-2g))
     p, m = np.ogrid[:d, :d]
@@ -163,62 +154,100 @@ def damp(
         raise ValueError(f"tau must be >= 0, got {tau}")
     check_dim_cap(rho.shape[0] * rho.shape[1], dim_cap, "two-mode density matrix")
     (d1, d2), g1, g2 = rho.shape[:2], params.gamma1 * tau, params.gamma2 * tau
-    w1 = _offset_weights(d1, g1) if g1 else None
-    w2 = w1 if (d2, g2) == (d1, g1) else _offset_weights(d2, g2) if g2 else None
-    out = _damp_mode(_damp_mode(rho, w1, (0, 2)), w2, (1, 3))
+    out = _damp_mode(_damp_mode(rho, _offset_weights(d1, g1), (0, 2)),
+                     _offset_weights(d2, g2), (1, 3))
     return out.copy() if out is rho else out
 
 
+def _split_real_form(padded: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """A real array whose partial transpose is U^dag X U, for X the partial
+    transpose of the split state rho at n levels per mode (module docstring),
+    so ``log_negativity`` of it is log_negativity(rho); ``padded`` is sigma'
+    with the zero border that the splitter's gather ``index`` reads.
+
+    The swap S of the modes gives S X S = conj(X), so X is real symmetric in
+    the basis U of |aa>, (|ab> + |ba>)/sqrt(2) and i(|ab> - |ba>)/sqrt(2),
+    a < b, labelled (a, a), (a, b) and (b, a).  Row (b, a) of X U is the
+    conjugate of row (a, b), so the rows of U^dag X U are the real part of row
+    (a, a) of X U, and sqrt(2) times the real and imaginary parts of row
+    (a, b): only the rows a <= b of X, X[(a, b), (c, d)] = rho[c, b, a, d],
+    are gathered.
+    """
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    a, b = np.concatenate([diag, i]), np.concatenate([diag, j])
+    z = padded[index[b, :n, None], index[a, None, :n]]  # z[r, c, d] = X[(a_r, b_r), (c, d)]
+    z *= w[b, :n, None]
+    z *= w[a, None, :n]
+    # columns of sqrt(2) X U: X(cd) + X(dc) at (c, d), i(X(cd) - X(dc)) at (d, c)
+    upper, lower = z[:, i, j], z[:, j, i]
+    upper += lower
+    lower *= -2.0
+    lower += upper
+    lower *= 1j
+    z[:, i, j], z[:, j, i] = upper, lower
+    del upper, lower  # free the gathers before the real array is allocated
+    z[:, diag, diag] *= _SQRT2
+    z[:n] /= _SQRT2  # rows (a, a) of U^dag X U take no sqrt(2)
+    out = np.empty((n,) * 4)
+    real = np.swapaxes(out, 0, 2)  # U^dag X U, written through the partial transpose
+    real[a, b] = z.real
+    real[j, i] = z[n:].imag
+    return out
+
+
 def negativity_decay_curve(
-    phi: np.ndarray,
+    amplitudes: np.ndarray,
     gamma_tau_values,
     params: ChannelParams = ChannelParams(),
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[tuple[float, float]]:
-    """Log negativity of the damped state at each gamma*tau on the grid.
+    """Log negativity at each gamma*tau on the grid of the damped splitter
+    output of the single-mode ``amplitudes`` c (vacuum in the second port).
 
     The abscissa is gamma1 * tau (the paper-style axis; with equal couplings
-    it is the common gamma*tau).  ``phi`` must be a finite 2-D array with a
-    nonzero norm.  The dimension check, on the untrimmed d^2, runs before any
-    work so infeasible inputs fail fast.  With gamma1 == gamma2 and a phi
-    that is symmetric once its reflection phase is dropped, as every splitter
-    output is, each point takes the real eigensolve (see the module
-    docstring); any other input takes the complex one.
+    it is the common gamma*tau).  ``amplitudes`` must be a finite 1-D array
+    with a finite, nonzero norm.  The dimension check, on the untrimmed d^2
+    of the two-mode state, runs before any work so infeasible inputs fail
+    fast.
     """
-    phi = np.asarray(phi, dtype=complex)
-    if phi.ndim != 2 or not np.isfinite(phi).all():
-        raise ValueError(f"phi must be a finite 2-D array, got shape {phi.shape}")
-    with np.errstate(over="ignore"):  # an overflowing mass is refused below
-        mass = np.abs(phi) ** 2
-    if not 0.0 < mass.sum() < math.inf:
-        raise ValueError("phi must have a finite, nonzero norm")
-    check_dim_cap(phi.size, dim_cap, "two-mode density matrix")
+    c = np.asarray(amplitudes, dtype=complex)
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValueError(f"amplitudes must be a finite 1-D array, got shape {c.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = (np.abs(c) ** 2).sum()
+    if not 0.0 < norm < math.inf:
+        raise ValueError("amplitudes must have a finite, nonzero norm")
+    d = len(c)
+    check_dim_cap(d * d, dim_cap, "two-mode density matrix")
     gamma_tau_values = [float(check_real("gamma_tau", g)) for g in gamma_tau_values]
     for g in gamma_tau_values:
         if g < 0:
             raise ValueError(f"gamma_tau must be >= 0, got {g}")
     if any(g > 0 for g in gamma_tau_values) and params.gamma1 <= 0:
         raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")
-    rotated = phi * _I_POW[np.arange(phi.shape[1]) % 4].conj()  # the splitter's i^k dropped
-    swap_invariant = (
-        params.gamma1 == params.gamma2
-        and phi.shape[0] == phi.shape[1]
-        and np.abs(rotated - rotated.T).max() <= _SYMMETRY_TOL * np.abs(rotated).max()
-    )
-
-    def kept(mass: np.ndarray) -> tuple[int, int]:
-        n1, n2 = _kept_mode_levels(mass)
-        return (max(n1, n2),) * 2 if swap_invariant else (n1, n2)
-
-    n1, n2 = kept(mass)
-    rho0 = pure_to_density((rotated if swap_invariant else phi)[:n1, :n2])
+    index, weights = _splitter_gather(d, d)
+    w = np.abs(weights)  # the splitter's i^k dropped
+    sigma = np.outer(c, c.conj())
+    padded = np.zeros((d + 1, d + 1), dtype=complex)  # index d reads this zero border
+    slow, fast = sorted((params.gamma1, params.gamma2))
     curve = []
     for g in gamma_tau_values:
         if g == 0.0:
-            curve.append((g, pure_state_log_negativity(phi)))
+            curve.append((g, pure_state_log_negativity(split_amplitudes(c))))
             continue
-        rho = damp(rho0, g / params.gamma1, params, dim_cap)
-        n1, n2 = kept(np.einsum("abab->ab", rho).real)
-        rho = rho[:n1, :n2, :n1, :n2]
-        curve.append((g, log_negativity(_swap_invariant_real_form(rho) if swap_invariant else rho)))
+        tau = g / params.gamma1
+        padded[:d, :d] = _damp_mode(sigma, _offset_weights(d, slow * tau), (0, 1))
+        n = max(_kept_mode_levels(padded.diagonal().real[index] * w * w))
+        if fast == slow:
+            curve.append((g, log_negativity(_split_real_form(padded, index, w, n))))
+            continue
+        kept, wn = index[:n, :n], w[:n, :n]
+        rho = padded[kept[:, :, None, None], kept]
+        rho *= wn[:, :, None, None]
+        rho *= wn
+        faster = (0, 2) if params.gamma1 > params.gamma2 else (1, 3)
+        rho = _damp_mode(rho, _offset_weights(n, (fast - slow) * tau), faster)
+        n1, n2 = _kept_mode_levels(np.einsum("abab->ab", rho).real)
+        curve.append((g, log_negativity(rho[:n1, :n2, :n1, :n2])))
     return curve

@@ -3,10 +3,9 @@
 Pure states are handled through the singular values of the amplitude matrix
 phi (the squared singular values are the Schmidt spectrum, i.e. the
 eigenvalues of either reduced density matrix); mixed states go through the
-partial transpose of the 4-index density matrix rho[m1, m2, n1, n2]; when
-rho is invariant under swapping the modes, that partial transpose is real
-in a fixed basis and its eigensolve can run on real numbers.  Entropies are
-in bits (log base 2).
+partial transpose of the 4-index density matrix rho[m1, m2, n1, n2], which
+``log_negativity`` solves whether it is complex or real.  Entropies are in
+bits (log base 2).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
 _ENTROPY_FLOOR = 1e-15
 # eigenvalue magnitudes below this are dropped from the trace norm
 _TRACE_NORM_FLOOR = 1e-12
-_SQRT2 = math.sqrt(2.0)
 
 
 def schmidt_spectrum(phi: np.ndarray) -> np.ndarray:
@@ -104,41 +102,6 @@ def log_negativity(rho: np.ndarray) -> float:
     if trace_norm <= 0.0:
         return 0.0
     return max(float(np.log2(trace_norm)), 0.0)
-
-
-def _swap_invariant_real_form(rho: np.ndarray) -> np.ndarray:
-    """A real array whose partial transpose is U^dag rho^{T_c} U, for a
-    rho[m1, m2, n1, n2] with n levels per mode that is invariant under
-    swapping the modes; ``log_negativity`` of it is log_negativity(rho), from
-    a real eigensolve.
-
-    With S the swap, S rho S = rho makes X = rho^{T_c} satisfy S X S = conj(X),
-    so X is real symmetric in the basis U of |aa>, (|ab> + |ba>)/sqrt(2) and
-    i(|ab> - |ba>)/sqrt(2), a < b, labelled (a, a), (a, b) and (b, a).  Row
-    (b, a) of X U is the conjugate of row (a, b), so the rows of U^dag X U are
-    the real part of row (a, a) of X U, and sqrt(2) times the real and the
-    imaginary part of row (a, b): only the n(n+1)/2 rows a <= b of X are read.
-    """
-    n = rho.shape[0]
-    i, j = np.triu_indices(n, 1)
-    diag = np.arange(n)
-    a, b = np.concatenate([diag, i]), np.concatenate([diag, j])
-    z = np.swapaxes(rho, 0, 2)[a, b]  # z[r, c, d] = X[(a_r, b_r), (c, d)]
-    # columns of sqrt(2) X U: X(cd) + X(dc) at (c, d), i(X(cd) - X(dc)) at (d, c)
-    upper, lower = z[:, i, j], z[:, j, i]
-    upper += lower
-    lower *= -2.0
-    lower += upper
-    lower *= 1j
-    z[:, i, j], z[:, j, i] = upper, lower
-    del upper, lower  # free the gathers before the real array is allocated
-    z[:, diag, diag] *= _SQRT2
-    z[:n] /= _SQRT2  # rows (a, a) of U^dag X U take no sqrt(2)
-    out = np.empty(rho.shape, dtype=float)
-    real = np.swapaxes(out, 0, 2)  # U^dag X U, written through the partial transpose
-    real[a, b] = z.real
-    real[j, i] = z[n:].imag
-    return out
 
 
 def pure_state_log_negativity(phi: np.ndarray) -> float:

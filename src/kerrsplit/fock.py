@@ -9,8 +9,8 @@ renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
 cutoff and refuses a cutoff that would drop ``tail_tol`` of the state.
 One trim call, ``_kept_mode_levels``, applies that rule at ``_TAIL`` to each
 output mode's marginal of a two-mode photon-number mass: |phi|^2 once per
-curve for the Schmidt SVDs in ``sweep`` and the loss channel in
-``decoherence``, and the diagonal of each damped rho there.  Factorials and
+curve for the Schmidt SVDs in ``sweep``, and the diagonal of each damped
+split state for the loss curves in ``decoherence``.  Factorials and
 binomials are in log space, from ``log_factorials``, so levels near n = 100
 stay finite.
 """

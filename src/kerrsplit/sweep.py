@@ -4,7 +4,8 @@ and decoherence scans, with CSV/JSON emission.
 The three table runners return a ``Table``: the artifact name, the ``#``
 header, named equal-length columns and the JSON summary.  ``write_table``
 emits one as a CSV plus a JSON file beside it.  ``run_husimi`` writes each
-Q grid as it computes it, so only one grid is held at a time.
+Q grid as it computes it, so only one grid is held at a time.  A run's
+artifacts are renamed into place only once all of them are written.
 
 Scenarios are plain JSON documents.  Every pipeline stage is deterministic
 (there is no randomness anywhere), so identical configs produce byte-identical
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import __version__
 
-from .beamsplitter import output_at_time, split_amplitudes
+from .beamsplitter import split_amplitudes
 from .decoherence import ChannelParams, negativity_decay_curve
 from .entanglement import entanglement_entropy
 from .fock import (
@@ -421,10 +423,10 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
 
     rows = []
     for nu, m, n_cut in states:
-        phi = output_at_time(replace(init, nu=nu, m=m), chan.tau, n_cut=n_cut,
-                             policy=config.cutoff)
-        _check_finite(phi, f"state of (nu={nu:g}, m={m})")  # a huge tau or theta overflows
-        curve = negativity_decay_curve(phi, gamma_taus, params, config.dim_cap)
+        spec = replace(init, nu=nu, m=m)
+        state = kerr_evolve(build_initial_state(spec, n_cut=n_cut, policy=config.cutoff), chan.tau)
+        _check_finite(state, f"state of (nu={nu:g}, m={m})")  # a huge tau or theta overflows
+        curve = negativity_decay_curve(state, gamma_taus, params, config.dim_cap)
         _check_finite([en for _, en in curve], f"log negativity of (nu={nu:g}, m={m})")
         rows.extend((g if by_gamma_tau else nu, float(en), m, n_cut) for g, en in curve)
     abscissa, values, ms, n_cuts = map(list, zip(*rows))
@@ -440,51 +442,52 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
 
 
 def run_husimi(config: ScenarioConfig, out_dir) -> dict:
-    """Write one Q grid (CSV plus dense-matrix file) per requested tau and
-    return the summary with peak counts and the distinguishability estimate."""
+    """Write one Q grid (CSV plus dense-matrix file) per requested tau, then
+    the summary with peak counts and the distinguishability estimate as
+    ``<name>_husimi.json``, all or none, and return the summary."""
     section = config.husimi
     if not section.taus:
         raise ConfigError("husimi.taus: at least one tau value is required")
     check_dim_cap(section.resolution, config.dim_cap, "Husimi grid")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     init = config.initial
     n_cut = _cutoff(config, init.nu, init.m)
     amplitudes = build_initial_state(init, n_cut=n_cut, policy=config.cutoff)
 
     entries = []
-    for tau in section.taus:
-        grid = husimi_q(kerr_evolve(amplitudes, float(tau)), half_width=section.half_width,
-                        resolution=section.resolution)
-        what = f"Husimi Q at tau={float(tau):g}"
-        _check_finite(grid.values, what)
-        normalization = grid.normalization()  # overflows in a huge window
-        _check_finite(normalization, what)
-        stem = f"{config.name}_husimi_tau_{_tau_label(tau)}"
-        csv_path = out_dir / f"{stem}.csv"
-        mat_path = out_dir / f"{stem}.qmat"
-        write_grid(grid, csv_path, mat_path)
-        entries.append(
-            {
-                "tau": float(tau),
-                "peak_count": count_peaks(grid, section.rel_threshold),
-                "files": [csv_path.name, mat_path.name],
-                "q_max_value": float(grid.values.max()),
-                "normalization": normalization,
-            }
-        )
-    return {
-        "name": config.name,
-        "nu": init.nu,
-        "m": init.m,
-        "theta": init.theta,
-        "n_cut": n_cut,
-        "resolution": section.resolution,
-        "rel_threshold": section.rel_threshold,
-        "n_max_estimate": n_max_estimate(math.sqrt(init.nu)),
-        "grids": entries,
-    }
+    with _staged(Path(out_dir)) as stage:
+        for tau in section.taus:
+            grid = husimi_q(kerr_evolve(amplitudes, float(tau)), half_width=section.half_width,
+                            resolution=section.resolution)
+            what = f"Husimi Q at tau={float(tau):g}"
+            _check_finite(grid.values, what)
+            normalization = grid.normalization()  # overflows in a huge window
+            _check_finite(normalization, what)
+            stem = f"{config.name}_husimi_tau_{_tau_label(tau)}"
+            files = [f"{stem}.csv", f"{stem}.qmat"]
+            write_grid(grid, *(stage / name for name in files))
+            entries.append(
+                {
+                    "tau": float(tau),
+                    "peak_count": count_peaks(grid, section.rel_threshold),
+                    "files": files,
+                    "q_max_value": float(grid.values.max()),
+                    "normalization": normalization,
+                }
+            )
+        summary = {
+            "name": config.name,
+            "nu": init.nu,
+            "m": init.m,
+            "theta": init.theta,
+            "n_cut": n_cut,
+            "resolution": section.resolution,
+            "rel_threshold": section.rel_threshold,
+            "n_max_estimate": n_max_estimate(math.sqrt(init.nu)),
+            "grids": entries,
+        }
+        write_json(stage / f"{config.name}_husimi.json", summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +518,27 @@ def _scenario_header(config: ScenarioConfig, n_cut: int | None = None) -> dict:
     return meta
 
 
+@contextmanager
+def _staged(out_dir: Path):
+    """All or none of a run's artifacts: yields a directory in ``out_dir``
+    (made if missing) to write them to under their names.  They move into
+    out_dir if the block ends without an error (a name taken by a directory
+    is one), and the staging directory goes either way."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
+        yield Path(staging)
+        names = os.listdir(staging)
+        taken = [out_dir / name for name in names if (out_dir / name).is_dir()]
+        if taken:  # os.replace cannot put a file there
+            raise IsADirectoryError(f"artifact {str(taken[0])!r} is a directory")
+        for name in names:
+            os.replace(os.path.join(staging, name), out_dir / name)
+
+
 def write_table(csv_path, table: Table) -> None:
     """Write the table's '#'-prefixed header block, a column-name row and one
-    row per point to ``csv_path``, and its summary to the .json beside it."""
+    row per point to ``csv_path``, and its summary to the .json beside it,
+    both or neither."""
     csv_path = Path(csv_path)
     lengths = {len(column) for column in table.columns.values()}
     if len(lengths) != 1:
@@ -525,9 +546,10 @@ def write_table(csv_path, table: Table) -> None:
     lines = [f"# {key}: {_fmt(value)}" for key, value in table.header.items()]
     lines.append(",".join(table.columns))
     lines.extend(map(",".join, zip(*(map(_fmt, column) for column in table.columns.values()))))
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    write_json(csv_path.with_suffix(".json"), table.summary)
+    with _staged(csv_path.parent) as stage:
+        with open(stage / csv_path.name, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        write_json(stage / csv_path.with_suffix(".json").name, table.summary)
 
 
 def write_json(path, payload: dict) -> None:

@@ -309,6 +309,42 @@ def test_unwritable_out_dir_is_a_config_error(tmp_path, capsys, command, case):
     assert "Traceback" not in lines[0]
 
 
+# (argv, scenario JSON or None, artifact taken by a directory or None, exit code) of
+# a run that fails after it has begun to write: each once left some of its files
+PARTIAL_RUNS = {
+    "husimi-refused-at-second-tau": (["husimi"], {"husimi": {"taus": [0.5, 1e308],
+                                                             "resolution": 11}}, None, 2),
+    "husimi-qmat-is-a-directory": (["husimi", "--tau", "0.5", "--resolution", "11"], None,
+                                   "s_husimi_tau_0.5.qmat", 1),
+    "decohere-json-is-a-directory": (["decohere"], _DECAY, "s_negativity-vs-gammatau.json", 1),
+}
+
+
+def snapshot(directory):
+    return {path.relative_to(directory): path.read_bytes() if path.is_file() else None
+            for path in sorted(directory.rglob("*"))}
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_RUNS))
+def test_failed_run_leaves_out_dir_as_it_was(tmp_path, capsys, case):
+    argv, config, taken, code = PARTIAL_RUNS[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.csv").write_text("kept\n")
+    if taken is not None:
+        (out / taken).mkdir()
+    before = snapshot(out)
+    argv = [*argv, "--name", "s", "--out-dir", out]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", tmp_path / "cfg.json"]
+    assert run_cli(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    prefix = "config error: out-dir: " if code == 1 else "infeasible scenario: "
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert snapshot(out) == before
+
+
 # (scenario JSON, runner) of each command that writes one table
 TABLE_COMMANDS = {
     "entropy": ({"initial": {"nu": 5.0}, "time_grid": {"start": 0, "stop": 1, "steps": 61}},

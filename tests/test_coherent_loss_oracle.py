@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.decoherence import negativity_decay_curve
-from kerrsplit.fock import InitialStateSpec
+from kerrsplit.fock import InitialStateSpec, build_initial_state
+from kerrsplit.kerr import kerr_evolve
 
 GAMMA_TAUS = [round(0.1 * k, 1) for k in range(16)]
 
@@ -59,7 +59,7 @@ def test_kerr_phase_at_half_revival_is_two_powers_of_i():
 
 def test_loss_curve_matches_coherent_state_oracle():
     spec = InitialStateSpec(nu=2.0)
-    curve = negativity_decay_curve(output_at_time(spec, 0.5), GAMMA_TAUS)
+    curve = negativity_decay_curve(kerr_evolve(build_initial_state(spec), 0.5), GAMMA_TAUS)
     for gamma_tau, got in curve:
         want = oracle_log_negativity(spec.alpha, gamma_tau)
         # Below gamma*tau = 0.6 the library's Fock cutoff still shows: it drops

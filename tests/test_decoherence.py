@@ -5,18 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import comb, gammaln
 
-from kerrsplit.beamsplitter import output_at_time
+from kerrsplit.beamsplitter import _splitter_gather, output_at_time, split_amplitudes
 from kerrsplit.decoherence import (
     ChannelParams,
+    _damp_mode,
+    _offset_weights,
+    _split_real_form,
     damp,
     negativity_decay_curve,
 )
 from kerrsplit.entanglement import (
     log_negativity,
+    partial_transpose,
     pure_state_log_negativity,
     pure_to_density,
 )
-from kerrsplit.fock import InfeasibleScenarioError, InitialStateSpec, _kept_mode_levels
+from kerrsplit.fock import (
+    InfeasibleScenarioError,
+    InitialStateSpec,
+    _kept_mode_levels,
+    build_initial_state,
+)
+from kerrsplit.kerr import kerr_evolve
 
 GAMMA = ChannelParams()  # 0.1 / 0.1
 
@@ -74,6 +84,22 @@ def damp_direct(rho, tau, params=GAMMA):
             w = r1[:, None, :, None] * r2[None, :, None, :]
             out[: d1 - p1, : d2 - p2, : d1 - p1, : d2 - p2] += w * block
     return out
+
+
+def kerr_state(nu, m, tau):
+    """The single-mode amplitudes c that the decay curve takes: the input
+    (nu, m) after Kerr evolution for tau, before the splitter, so that
+    split_amplitudes(c) is output_at_time(InitialStateSpec(nu, m=m), tau)."""
+    return kerr_evolve(build_initial_state(InitialStateSpec(nu=nu, m=m)), tau)
+
+
+def split_density(sigma):
+    """split(sigma)[p, k, p', k'] = sigma[p+k, p'+k'] * W[p, k] * conj(W[p', k']):
+    the splitter on both sides of a single-mode density matrix with vacuum in
+    the second port, from split_amplitudes on its conjugated columns, then
+    on its rows."""
+    columns = split_amplitudes(sigma.conj()).conj()  # [a, p', k'] = sigma[a, p'+k'] conj(W)
+    return np.moveaxis(split_amplitudes(np.moveaxis(columns, 0, -1)), (2, 3), (0, 1))
 
 
 def random_pure_rho(rng, d, d2=None):
@@ -216,17 +242,52 @@ def test_damp_never_writes_its_input_and_ignores_its_layout(d1, d2, gamma1, gamm
     assert big.tobytes() == big_before
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    rank=st.integers(1, 12),
+    gamma1=RATES,
+    gamma2=RATES,
+    tau=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_commutes_with_the_splitter(d, rank, gamma1, gamma2, tau, seed):
+    """The identities the decay curve rests on, for a pure (rank 1) or mixed
+    single-mode sigma: at equal rates damp(split(sigma)) = split(damp_1(sigma)),
+    and at unequal rates, in either order, the smaller rate on sigma before
+    the splitter and the excess on the faster mode after it give damp."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    sigma = g @ g.conj().T
+    sigma /= np.trace(sigma).real
+    split = split_density(sigma)
+
+    def damp_1(rate):
+        return _damp_mode(sigma, _offset_weights(d, rate * tau), (0, 1))
+
+    want = damp(split, tau, ChannelParams(gamma1, gamma1))
+    assert np.max(np.abs(want - split_density(damp_1(gamma1)))) < 1e-14
+    for rates in ((gamma1, gamma2), (gamma2, gamma1)):
+        slow, fast = sorted(rates)
+        faster = (0, 2) if rates[0] > rates[1] else (1, 3)
+        factored = _damp_mode(split_density(damp_1(slow)),
+                              _offset_weights(d, (fast - slow) * tau), faster)
+        want = damp(split, tau, ChannelParams(*rates))
+        assert np.max(np.abs(want - factored)) < 1e-14
+
+
 @pytest.mark.parametrize("params", [GAMMA, ChannelParams(gamma1=0.1, gamma2=0.3)])
 def test_decay_curve_points_do_not_depend_on_each_other(params):
     """Each point damps the same undamped state: a curve equals itself on a
-    second call and its one-point curves, and phi is left as it was."""
-    phi = output_at_time(InitialStateSpec(nu=2.0, m=1), 0.5)
-    before = phi.tobytes()
+    second call and its one-point curves, and the amplitudes are left as
+    they were."""
+    state = kerr_state(2.0, 1, 0.5)
+    before = state.tobytes()
     grid = [0.0, 0.2, 0.5, 1.0]
-    curve = negativity_decay_curve(phi, grid, params)
-    assert negativity_decay_curve(phi, grid, params) == curve
-    assert [negativity_decay_curve(phi, [g], params)[0] for g in grid] == curve
-    assert phi.tobytes() == before
+    curve = negativity_decay_curve(state, grid, params)
+    assert negativity_decay_curve(state, grid, params) == curve
+    assert [negativity_decay_curve(state, [g], params)[0] for g in grid] == curve
+    assert state.tobytes() == before
 
 
 def test_unequal_rates():
@@ -245,7 +306,7 @@ def test_dimension_cap_enforced():
     with pytest.raises(InfeasibleScenarioError):
         damp(rho, 1.0, dim_cap=80)
     with pytest.raises(InfeasibleScenarioError):
-        negativity_decay_curve(np.eye(9, dtype=complex) / 3.0, [0.0], dim_cap=80)
+        negativity_decay_curve(np.ones(9, dtype=complex) / 3.0, [0.0], dim_cap=80)
 
 
 def test_damp_input_validation():
@@ -265,33 +326,38 @@ def test_damp_input_validation():
     for tau in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tau"):
             damp(rho, tau)
-    phi = np.eye(2, dtype=complex) / math.sqrt(2.0)
+    amplitudes = np.ones(2, dtype=complex) / math.sqrt(2.0)
     for gamma_tau in (-0.5, -1e-300, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma_tau"):
-            negativity_decay_curve(phi, [0.0, gamma_tau])
+            negativity_decay_curve(amplitudes, [0.0, gamma_tau])
 
 
 @pytest.mark.parametrize(
-    "phi, gamma_taus, error, name",
+    "amplitudes, gamma_taus, error, name",
     [
-        (np.full((3, 3), np.nan), [0.0, 0.5], ValueError, "phi"),
-        (np.ones(4) / 2.0, [0.0, 0.5], ValueError, "phi"),
-        (np.zeros((3, 3)), [0.0, 0.5], ValueError, "phi"),
-        (np.full((2, 2), 1e200), [0.0, 0.5], ValueError, "phi"),
-        (np.eye(2) / math.sqrt(2.0), ["0.5"], TypeError, "gamma_tau"),
+        (np.full(3, np.nan), [0.0, 0.5], ValueError, "amplitudes"),
+        (np.array([1.0, np.inf]), [0.0, 0.5], ValueError, "amplitudes"),
+        (np.eye(2) / math.sqrt(2.0), [0.0, 0.5], ValueError, "amplitudes"),
+        (np.array(1.0), [0.0, 0.5], ValueError, "amplitudes"),
+        (np.zeros(3), [0.0, 0.5], ValueError, "amplitudes"),
+        (np.zeros(0), [0.0, 0.5], ValueError, "amplitudes"),
+        (np.full(2, 1e200), [0.0, 0.5], ValueError, "amplitudes"),
+        (np.ones(2) / math.sqrt(2.0), ["0.5"], TypeError, "gamma_tau"),
     ],
-    ids=["nan-phi", "1d-phi", "zero-phi", "mass-overflows-phi", "string-gamma-tau"],
+    ids=["nan-amplitudes", "inf-amplitudes", "2d-amplitudes", "0d-amplitudes",
+         "zero-amplitudes", "empty-amplitudes", "norm-overflows-amplitudes",
+         "string-gamma-tau"],
 )
-def test_bad_curve_input_raises_a_named_error(phi, gamma_taus, error, name):
+def test_bad_curve_input_raises_a_named_error(amplitudes, gamma_taus, error, name):
     with pytest.raises(error, match=name):
-        negativity_decay_curve(phi, gamma_taus)
+        negativity_decay_curve(amplitudes, gamma_taus)
 
 
 def test_decay_curve_starts_at_closed_form_and_decreases():
-    phi = output_at_time(InitialStateSpec(nu=2.0), 0.5)
-    curve = negativity_decay_curve(phi, [0.0, 0.1, 0.3, 0.6, 1.0])
+    state = kerr_state(2.0, 0, 0.5)
+    curve = negativity_decay_curve(state, [0.0, 0.1, 0.3, 0.6, 1.0])
     values = [en for _, en in curve]
-    assert abs(values[0] - pure_state_log_negativity(phi)) < 1e-10
+    assert abs(values[0] - pure_state_log_negativity(split_amplitudes(state))) < 1e-10
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
     assert all(v >= 0.0 for v in values)
 
@@ -314,9 +380,10 @@ TRIM_CASES = [
 
 @pytest.mark.parametrize("nu, m, gamma_taus", TRIM_CASES)
 def test_trimmed_curve_equals_untrimmed_reference(nu, m, gamma_taus):
-    phi = output_at_time(InitialStateSpec(nu=nu, m=m), 0.5)
-    got = [en for _, en in negativity_decay_curve(phi, gamma_taus)]
-    assert np.max(np.abs(np.subtract(got, untrimmed_curve(phi, gamma_taus)))) < 1e-10
+    state = kerr_state(nu, m, 0.5)
+    got = [en for _, en in negativity_decay_curve(state, gamma_taus)]
+    want = untrimmed_curve(split_amplitudes(state), gamma_taus)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,10 +397,11 @@ def test_trimmed_curve_equals_untrimmed_reference(nu, m, gamma_taus):
 )
 def test_trimmed_curve_equals_untrimmed_reference_property(nu, m, tau, gamma1, gamma2, gamma_tau):
     params = ChannelParams(gamma1=gamma1, gamma2=gamma2)
-    phi = output_at_time(InitialStateSpec(nu=nu, m=m), tau)
+    state = kerr_state(nu, m, tau)
     gamma_taus = [0.0, gamma_tau]
-    got = [en for _, en in negativity_decay_curve(phi, gamma_taus, params)]
-    assert np.max(np.abs(np.subtract(got, untrimmed_curve(phi, gamma_taus, params)))) < 1e-10
+    got = [en for _, en in negativity_decay_curve(state, gamma_taus, params)]
+    want = untrimmed_curve(split_amplitudes(state), gamma_taus, params)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-10
 
 
 @pytest.mark.parametrize("nu, m", [(2.0, 0), (2.0, 2), (2.0, 4), (5.0, 0), (5.0, 5), (5.0, 10)])
@@ -345,33 +413,82 @@ def test_undamped_eigensolve_equals_pure_state_closed_form(nu, m):
 
 
 def test_decay_curve_vanishes_for_strong_damping():
-    phi = output_at_time(InitialStateSpec(nu=5.0), 0.5)
-    (_, en), = negativity_decay_curve(phi, [3.0])
+    (_, en), = negativity_decay_curve(kerr_state(5.0, 0, 0.5), [3.0])
     assert en < 1e-3
 
 
-def test_equal_rates_on_a_non_symmetric_phi_match_the_untrimmed_reference():
-    """Equal rates alone do not make the damped state swap invariant: a
-    random phi must keep the complex eigensolve."""
+def split_real_form(sigma, n):
+    d = len(sigma)
+    index, weights = _splitter_gather(d, d)
+    padded = np.zeros((d + 1, d + 1), dtype=complex)
+    padded[:d, :d] = sigma
+    return _split_real_form(padded, index, np.abs(weights), n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_split_real_eigensolve_equals_complex_eigensolve(d):
+    """Random pure and mixed single-mode states, some of low enough rank that
+    the partial transpose of their split state has negative eigenvalues, at
+    every kept size n: the real form's partial transpose is symmetric with
+    the spectrum of the split state's, reflection phase and all."""
+    rng = np.random.default_rng(d)
+    for rank in (1, 2, d):
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        sigma = g @ g.conj().T
+        sigma /= np.trace(sigma).real
+        for n in range(1, d + 1):
+            rho = split_density(sigma)[:n, :n, :n, :n]
+            form = split_real_form(sigma, n)
+            real = partial_transpose(form).reshape(n * n, n * n)
+            assert real.dtype == float
+            assert np.max(np.abs(real - real.T)) < 1e-14
+            want = np.linalg.eigvalsh(partial_transpose(rho).reshape(n * n, n * n))
+            assert np.max(np.abs(np.linalg.eigvalsh(real) - want)) < 1e-13
+            assert abs(log_negativity(form) - log_negativity(rho)) < 1e-13
+    sigma[0, 0] = np.nan
+    assert math.isnan(log_negativity(split_real_form(sigma, d)))
+
+
+def test_equal_rates_on_a_non_symmetric_phi_need_the_complex_eigensolve():
+    """Equal rates alone do not make the damped state swap invariant: for a
+    random phi, which no splitter makes, damp and the complex eigensolve of
+    log_negativity match the Kraus oracle, and the damped state is not swap
+    invariant, so the real form does not hold for it."""
     rng = np.random.default_rng(8)
     phi = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    phi /= np.linalg.norm(phi)
-    gamma_taus = [0.1, 0.3, 1.0]
-    got = [en for _, en in negativity_decay_curve(phi, gamma_taus)]
-    assert np.max(np.abs(np.subtract(got, untrimmed_curve(phi, gamma_taus)))) < 1e-10
+    rho0 = pure_to_density(phi / np.linalg.norm(phi))
+    for gamma_tau in (0.1, 0.3, 1.0):
+        rho = damp(rho0, gamma_tau / GAMMA.gamma1)
+        got = log_negativity(rho)
+        assert abs(got - log_negativity(kraus_damp(rho0, gamma_tau / GAMMA.gamma1))) < 1e-10
+        assert np.max(np.abs(rho - rho.transpose(1, 0, 3, 2))) > 1e-3
+
+
+def decay_curve_of(params):
+    return lambda: negativity_decay_curve(kerr_state(2.0, 1, 0.3), [0.0, 0.2, 0.7], params)
+
+
+def damped_log_negativity_of(phi):
+    """damp and log_negativity of a phi that is not a splitter output, which
+    the decay curve does not take."""
+    rho0 = pure_to_density(phi)
+    return lambda: [log_negativity(damp(rho0, g / GAMMA.gamma1)) for g in (0.2, 0.7)]
 
 
 @pytest.mark.parametrize(
-    "phi, params, dtype",
+    "run, dtype",
     [
-        (output_at_time(InitialStateSpec(nu=2.0, m=1), 0.3), GAMMA, float),
-        (output_at_time(InitialStateSpec(nu=2.0, m=1), 0.3), ChannelParams(0.1, 0.2), complex),
-        (output_at_time(InitialStateSpec(nu=2.0, m=1), 0.3)[:, :-1], GAMMA, complex),
-        (np.random.default_rng(9).normal(size=(4, 4)) / 4.0, GAMMA, complex),
+        (decay_curve_of(GAMMA), float),
+        (decay_curve_of(ChannelParams(0.1, 0.2)), complex),
+        (decay_curve_of(ChannelParams(0.2, 0.1)), complex),
+        (damped_log_negativity_of(output_at_time(InitialStateSpec(nu=2.0, m=1), 0.3)[:, :-1]),
+         complex),
+        (damped_log_negativity_of(np.random.default_rng(9).normal(size=(4, 4)) / 4.0), complex),
     ],
-    ids=["splitter-equal-rates", "splitter-unequal-rates", "not-square", "random-phi"],
+    ids=["splitter-equal-rates", "splitter-unequal-rates", "splitter-faster-mode-c",
+         "not-square", "random-phi"],
 )
-def test_only_swap_invariant_states_take_the_real_eigensolve(monkeypatch, phi, params, dtype):
+def test_only_swap_invariant_states_take_the_real_eigensolve(monkeypatch, run, dtype):
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -380,7 +497,7 @@ def test_only_swap_invariant_states_take_the_real_eigensolve(monkeypatch, phi, p
         return eigvalsh(mat)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    negativity_decay_curve(phi, [0.0, 0.2, 0.7], params)
+    run()
     assert seen == [np.dtype(dtype)] * 2
 
 
@@ -395,13 +512,13 @@ def test_only_swap_invariant_states_take_the_real_eigensolve(monkeypatch, phi, p
 def test_real_eigensolve_equals_complex_eigensolve_on_the_same_trimmed_state(
     nu, m, tau, gamma, gamma_tau
 ):
-    """At equal rates the curve runs the real eigensolve on the splitter's
-    output without its reflection phase; the complex eigensolve of the same
-    trimmed state with the phase kept gives the same E_N."""
+    """At equal rates the curve damps the single-mode state, splits it
+    without the splitter's reflection phase and runs the real eigensolve;
+    the complex eigensolve of the damped two-mode state with the phase kept,
+    trimmed the same way, gives the same E_N."""
     params = ChannelParams(gamma1=gamma, gamma2=gamma)
-    phi = output_at_time(InitialStateSpec(nu=nu, m=m), tau)
-    (_, got), = negativity_decay_curve(phi, [gamma_tau], params)
-    n = max(_kept_mode_levels(np.abs(phi) ** 2))
-    rho = damp(pure_to_density(phi[:n, :n]), gamma_tau / gamma, params)
+    state = kerr_state(nu, m, tau)
+    (_, got), = negativity_decay_curve(state, [gamma_tau], params)
+    rho = damp(pure_to_density(split_amplitudes(state)), gamma_tau / gamma, params)
     n = max(_kept_mode_levels(np.einsum("abab->ab", rho).real))
     assert abs(got - log_negativity(rho[:n, :n, :n, :n])) < 1e-12

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from kerrsplit.beamsplitter import output_at_time, split_amplitudes
 from kerrsplit.entanglement import (
-    _swap_invariant_real_form,
     entanglement_entropy,
     log_negativity,
     partial_transpose,
@@ -201,29 +200,6 @@ def test_non_finite_spectra_give_nan(monkeypatch):
     assert math.isnan(log_negativity(rho))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
     assert math.isnan(log_negativity(pure_to_density(bell_like())))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_swap_invariant_real_eigensolve_equals_complex_eigensolve(n):
-    """Random mixed states made swap invariant, S rho S = rho, some of low
-    enough rank that the partial transpose has negative eigenvalues: the real
-    form's partial transpose is symmetric with the same spectrum."""
-    rng = np.random.default_rng(n)
-    for rank in (1, 2, n * n):
-        g = rng.normal(size=(n * n, rank)) + 1j * rng.normal(size=(n * n, rank))
-        rho = (g @ g.conj().T).reshape(n, n, n, n)
-        rho = rho + rho.transpose(1, 0, 3, 2)
-        rho /= np.einsum("abab", rho).real
-        form = _swap_invariant_real_form(rho)
-        real = partial_transpose(form).reshape(n * n, n * n)
-        assert real.dtype == float
-        assert np.max(np.abs(real - real.T)) < 1e-14
-        want = np.linalg.eigvalsh(partial_transpose(rho).reshape(n * n, n * n))
-        assert np.max(np.abs(np.linalg.eigvalsh(real) - want)) < 1e-13
-        assert abs(log_negativity(form) - log_negativity(rho)) < 1e-13
-    rho = pure_to_density(bell_like())
-    rho[0, 0, 0, 0] = np.nan
-    assert math.isnan(log_negativity(_swap_invariant_real_form(rho)))
 
 
 # Exact symmetries of E(tau) for the split Kerr state: n(n-1) is even, so tau

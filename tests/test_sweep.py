@@ -10,7 +10,8 @@ from kerrsplit import fock, sweep
 from kerrsplit.entanglement import entanglement_entropy, pure_state_log_negativity
 from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.decoherence import ChannelParams, negativity_decay_curve
-from kerrsplit.fock import InitialStateSpec, choose_cutoff
+from kerrsplit.fock import InitialStateSpec, build_initial_state, choose_cutoff
+from kerrsplit.kerr import kerr_evolve
 from kerrsplit.sweep import (
     _BLOCK_BYTES,
     ChannelSection,
@@ -376,8 +377,8 @@ def test_decoherence_scan_nu_mode():
     assert len(table.columns["log_negativity"]) == 4
     assert set(table.columns["m"]) == {0, 1}
     assert table.artifact == "negativity-vs-nu"
-    phi = output_at_time(InitialStateSpec(nu=0.2), 0.5)
-    ((_, want),) = negativity_decay_curve(phi, [0.3], ChannelParams(0.1, 0.1))
+    state = kerr_evolve(build_initial_state(InitialStateSpec(nu=0.2)), 0.5)
+    ((_, want),) = negativity_decay_curve(state, [0.3], ChannelParams(0.1, 0.1))
     assert table.columns["log_negativity"][0] == want
 
 
