@@ -38,12 +38,11 @@ def _splitter_gather(dim: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather index and weights of the splitter from input levels 0..dim-1
     to levels 0..kept-1 of each output mode.
 
-    phi[p, k] = c_pad[index[p, k]] * weights[p, k], where c_pad is the input
-    with one zero appended: entries with p + k >= dim point at that zero and
-    carry zero weight.
+    phi[p, k] = c[index[p, k]] * weights[p, k]: entries with p + k >= dim
+    point at the last input level and carry zero weight.
     """
     p, k = np.nonzero(np.add.outer(np.arange(kept), np.arange(kept)) < dim)
-    index = np.full((kept, kept), dim)
+    index = np.full((kept, kept), dim - 1)
     index[p, k] = p + k
     weights = np.zeros((kept, kept), dtype=complex)
     lgfact, n = log_factorials(dim), p + k
@@ -70,9 +69,7 @@ def split_amplitudes(amplitudes: np.ndarray, kept: int | None = None) -> np.ndar
     if kept > dim:
         raise ValueError(f"kept must be <= {dim}, got {kept!r}")
     index, weights = _splitter_gather(dim, kept)
-    padded = np.zeros(c.shape[:-1] + (dim + 1,), dtype=complex)
-    padded[..., :dim] = c
-    phi = padded[..., index]
+    phi = c[..., index]
     phi *= weights
     return phi
 

@@ -16,16 +16,11 @@ mode d.
 
 The sum factorizes per mode, and each factor is that mode's amplitude-damping
 Kraus sum (Nielsen & Chuang, section 8.3.5): R_j = a_p[m_j] * a_p[n_j] with
-a_p[m] = C(m+p, p)^(1/2) * (1 - exp(-2g))^(p/2) * exp(-g*m).  The sum maps
-each diagonal offset k = n - m of a mode's (m, n) indices to itself, so
-``damp`` runs it on mode c, then on mode d, as one real matrix product per
-offset with the upper-triangular A_k[i, j] = a_{j-i}[r_i] * a_{j-i}[c_i]
-(r_i, c_i the row and column levels of the i-th entry on the offset).  All
-2d - 1 of them come from one vectorized (2d - 1, d, d) table per mode.  Each
-mode takes one working copy of rho with that mode's (m, n) axes first,
-flattened to rows m*d + n; offset k is then the strided slice of every
-(d + 1)-th row from its first entry, and A_k times that view is written back
-into it in place, with no gather or scatter.
+a_p[m] = C(m+p, p)^(1/2) * (1 - exp(-2g))^(p/2) * exp(-g*m).  ``damp`` runs
+it on mode c, then on mode d, as written: from one (d, d) table a_p[m] per
+mode, each p adds a_p[m] * a_p[n] times the block of rho shifted by p on
+that mode's (m, n) axes to the leading (d - p, d - p) block of a
+zero-initialised output.
 
 ``negativity_decay_curve`` damps before the splitter.  At equal rates the
 loss generator sum_j gamma D[a_j] is invariant under any passive two-mode
@@ -40,7 +35,8 @@ smaller rate acts on sigma, and the excess on the faster mode after the split.
 The split drops the splitter's i^k, a local phase on mode d that the
 phase-covariant channel and E_N ignore, leaving rho[p, k, p', k'] =
 sigma'[p+k, p'+k'] * w[p, k] * w[p', k'] with the symmetric weights
-w[p, k] = sqrt(C(p+k, p) / 2^(p+k)).  Each mode keeps the fewest leading
+w[p, k] = sqrt(C(p+k, p) / 2^(p+k)), read through the splitter's gather,
+whose entries with p + k >= d carry zero weight.  Each mode keeps the fewest leading
 levels whose marginal mass beyond them is below ``fock._TAIL``, the rule of
 the Fock cutoff, from mode c's marginal sum_k sigma'[p+k, p+k] * w[p, k]^2,
 which mode d shares; after an excess rate the diagonal of rho trims them
@@ -88,50 +84,30 @@ class ChannelParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
-def _offset_weights(d: int, g: float) -> np.ndarray | None:
-    """The A_k of the module docstring for every offset k of a mode with d
-    levels and g = gamma*tau, as one (2d - 1, d, d) table: A_k is
-    W[k + d - 1, :d - |k|, :d - |k|], and every other entry is 0.  None at
-    g = 0, where the mode is not damped."""
+def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
+    """One mode's Kraus sum over its (row, column) ``axes`` of rho, with
+    g = gamma*tau:
+
+    rho[..m..n..] <- sum_p a_p[m] a_p[n] rho[..m+p..n+p..],
+
+    one slice update per p on a new, zero-initialised array; rho is never
+    written.  g = 0 returns rho itself.
+    """
     if not g:
-        return None
+        return rho
+    d = rho.shape[axes[0]]
     lgfact = log_factorials(d)
     log_loss = math.log(-math.expm1(-2.0 * g))  # ln(1 - exp(-2g))
     p, m = np.ogrid[:d, :d]
     # a[p, m] = a_p[m]; only entries with m + p < d are ever read
     a = np.exp(0.5 * (lgfact[np.minimum(m + p, d - 1)] - lgfact[p] - lgfact[m]
                       + p * log_loss) - g * m)
-    k, i, j = np.ogrid[1 - d:d, :d, :d]
-    shift = j - i
-    used = (shift >= 0) & (j < d - abs(k))
-    lift = np.where(used, shift, 0)  # unused entries read a in range, then drop out
-    rows = np.minimum(i + np.maximum(0, -k), d - 1)
-    cols = np.minimum(i + np.maximum(0, k), d - 1)
-    return np.where(used, a[lift, rows] * a[lift, cols], 0.0)
-
-
-def _damp_mode(rho: np.ndarray, weights: np.ndarray | None, axes: tuple[int, int]) -> np.ndarray:
-    """One mode's Kraus sum over its (row, column) ``axes`` of rho:
-
-    rho[..m..n..] <- sum_p a_p[m] a_p[n] rho[..m+p..n+p..],
-
-    as one real matrix product per diagonal offset k = n - m with that mode's
-    ``_offset_weights``, run in place on one working copy of rho with the
-    damped mode's axes first.  ``weights`` None (g = 0) returns rho itself.
-    """
-    if weights is None:
-        return rho
-    d = rho.shape[axes[0]]
-    work = np.array(np.moveaxis(rho, axes, (0, 1)), order="C")  # rho is never written
-    # row m*d + n holds rho's (m, n) block, real and imaginary parts side by side
-    # (its length spelled out, since -1 cannot be inferred when a mode is empty)
-    flat = work.reshape(d * d, math.prod(work.shape[2:])).view(float)
-    for k in range(1 - d, d):
-        size = d - abs(k)
-        start = max(0, -k) * d + max(0, k)  # the row of the offset's first entry
-        diag = flat[start:start + (size - 1) * (d + 1) + 1:d + 1]  # a view, no copy
-        diag[...] = weights[k + d - 1, :size, :size] @ diag
-    return np.moveaxis(work, (0, 1), axes)
+    src = np.moveaxis(rho, axes, (-2, -1))  # the damped mode's (m, n) axes last
+    out = np.zeros_like(src)
+    for q in range(d):
+        k = d - q
+        out[..., :k, :k] += a[q, :k, None] * a[q, :k] * src[..., q:, q:]
+    return np.moveaxis(out, (-2, -1), axes)
 
 
 def damp(
@@ -153,17 +129,16 @@ def damp(
     if check_real("tau", tau) < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     check_dim_cap(rho.shape[0] * rho.shape[1], dim_cap, "two-mode density matrix")
-    (d1, d2), g1, g2 = rho.shape[:2], params.gamma1 * tau, params.gamma2 * tau
-    out = _damp_mode(_damp_mode(rho, _offset_weights(d1, g1), (0, 2)),
-                     _offset_weights(d2, g2), (1, 3))
+    g1, g2 = params.gamma1 * tau, params.gamma2 * tau
+    out = _damp_mode(_damp_mode(rho, g1, (0, 2)), g2, (1, 3))
     return out.copy() if out is rho else out
 
 
-def _split_real_form(padded: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+def _split_real_form(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """A real array whose partial transpose is U^dag X U, for X the partial
     transpose of the split state rho at n levels per mode (module docstring),
-    so ``log_negativity`` of it is log_negativity(rho); ``padded`` is sigma'
-    with the zero border that the splitter's gather ``index`` reads.
+    so ``log_negativity`` of it is log_negativity(rho); ``sigma`` is sigma',
+    read through the splitter's gather ``index`` and weights ``w``.
 
     The swap S of the modes gives S X S = conj(X), so X is real symmetric in
     the basis U of |aa>, (|ab> + |ba>)/sqrt(2) and i(|ab> - |ba>)/sqrt(2),
@@ -176,7 +151,7 @@ def _split_real_form(padded: np.ndarray, index: np.ndarray, w: np.ndarray, n: in
     i, j = np.triu_indices(n, 1)
     diag = np.arange(n)
     a, b = np.concatenate([diag, i]), np.concatenate([diag, j])
-    z = padded[index[b, :n, None], index[a, None, :n]]  # z[r, c, d] = X[(a_r, b_r), (c, d)]
+    z = sigma[index[b, :n, None], index[a, None, :n]]  # z[r, c, d] = X[(a_r, b_r), (c, d)]
     z *= w[b, :n, None]
     z *= w[a, None, :n]
     # columns of sqrt(2) X U: X(cd) + X(dc) at (c, d), i(X(cd) - X(dc)) at (d, c)
@@ -229,7 +204,6 @@ def negativity_decay_curve(
     index, weights = _splitter_gather(d, d)
     w = np.abs(weights)  # the splitter's i^k dropped
     sigma = np.outer(c, c.conj())
-    padded = np.zeros((d + 1, d + 1), dtype=complex)  # index d reads this zero border
     slow, fast = sorted((params.gamma1, params.gamma2))
     curve = []
     for g in gamma_tau_values:
@@ -237,17 +211,17 @@ def negativity_decay_curve(
             curve.append((g, pure_state_log_negativity(split_amplitudes(c))))
             continue
         tau = g / params.gamma1
-        padded[:d, :d] = _damp_mode(sigma, _offset_weights(d, slow * tau), (0, 1))
-        n = max(_kept_mode_levels(padded.diagonal().real[index] * w * w))
+        damped = _damp_mode(sigma, slow * tau, (0, 1))
+        n = max(_kept_mode_levels(damped.diagonal().real[index] * w * w))
         if fast == slow:
-            curve.append((g, log_negativity(_split_real_form(padded, index, w, n))))
+            curve.append((g, log_negativity(_split_real_form(damped, index, w, n))))
             continue
         kept, wn = index[:n, :n], w[:n, :n]
-        rho = padded[kept[:, :, None, None], kept]
+        rho = damped[kept[:, :, None, None], kept]
         rho *= wn[:, :, None, None]
         rho *= wn
         faster = (0, 2) if params.gamma1 > params.gamma2 else (1, 3)
-        rho = _damp_mode(rho, _offset_weights(n, (fast - slow) * tau), faster)
+        rho = _damp_mode(rho, (fast - slow) * tau, faster)
         n1, n2 = _kept_mode_levels(np.einsum("abab->ab", rho).real)
         curve.append((g, log_negativity(rho[:n1, :n2, :n1, :n2])))
     return curve

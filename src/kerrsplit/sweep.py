@@ -523,16 +523,31 @@ def _staged(out_dir: Path):
     """All or none of a run's artifacts: yields a directory in ``out_dir``
     (made if missing) to write them to under their names.  They move into
     out_dir if the block ends without an error (a name taken by a directory
-    is one), and the staging directory goes either way."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
-        yield Path(staging)
-        names = os.listdir(staging)
-        taken = [out_dir / name for name in names if (out_dir / name).is_dir()]
-        if taken:  # os.replace cannot put a file there
-            raise IsADirectoryError(f"artifact {str(taken[0])!r} is a directory")
-        for name in names:
-            os.replace(os.path.join(staging, name), out_dir / name)
+    is one), and the staging directory goes either way.  On an error, the
+    directories this call made go too, deepest first, unless something
+    else was written into them."""
+    made = []  # the missing directories of out_dir, deepest first
+    missing = out_dir
+    while missing != missing.parent and not missing.exists():
+        made.append(missing)
+        missing = missing.parent
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
+            yield Path(staging)
+            names = os.listdir(staging)
+            taken = [out_dir / name for name in names if (out_dir / name).is_dir()]
+            if taken:  # os.replace cannot put a file there
+                raise IsADirectoryError(f"artifact {str(taken[0])!r} is a directory")
+            for name in names:
+                os.replace(os.path.join(staging, name), out_dir / name)
+    except BaseException:
+        for directory in made:
+            try:
+                os.rmdir(directory)
+            except OSError:  # not made here, or no longer empty
+                pass
+        raise
 
 
 def write_table(csv_path, table: Table) -> None:

@@ -169,7 +169,10 @@ def test_trimmed_split_is_the_top_left_block_of_the_full_split(d, data):
     kept = data.draw(st.integers(1, d), label="kept")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     rows = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
-    block = split_amplitudes(rows)[:, :kept, :kept]
+    full = split_amplitudes(rows)
+    # the top input level is occupied, yet every entry with p + k >= d is exactly 0
+    assert not full[:, np.add.outer(np.arange(d), np.arange(d)) >= d].any()
+    block = full[:, :kept, :kept]
     assert np.array_equal(split_amplitudes(rows, kept), block)
     # the block reads only input levels below 2 * kept - 1
     assert np.array_equal(split_amplitudes(rows[:, :2 * kept - 1], kept), block)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 
 from kerrsplit import cli, fock
+from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.cli import main
+from kerrsplit.entanglement import pure_state_log_negativity
+from kerrsplit.fock import InitialStateSpec
 from kerrsplit.sweep import (
     config_from_json,
     run_decoherence_scan,
@@ -83,18 +87,27 @@ def test_husimi_requires_taus(tmp_path, capsys):
     assert "husimi.taus" in capsys.readouterr().err
 
 
-def test_decohere_command(tmp_path):
+@pytest.mark.parametrize("gamma1, gamma2", [(0.1, 0.1), (0.3, 0.1), (0.1, 0.3)])
+def test_decohere_command(tmp_path, gamma1, gamma2):
+    """Equal and unequal rates, either mode faster: the curve starts at the
+    closed form of the split state and never rises."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "name": "dec",
-        "initial": {"nu": 1.0},
-        "channel": {"gamma_tau_grid": {"start": 0.0, "stop": 0.2, "steps": 2},
-                    "tau": 0.5},
+        "initial": {"nu": 1.0, "m": 1},
+        "channel": {"gamma1": gamma1, "gamma2": gamma2,
+                    "gamma_tau_grid": {"start": 0.0, "stop": 1.0, "steps": 5}, "tau": 0.5},
     }))
     assert run_cli(["decohere", "--config", cfg, "--out-dir", tmp_path]) == 0
     csv_path = tmp_path / "dec_negativity-vs-gammatau.csv"
-    rows = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
-    assert rows[0] == "gamma_tau,log_negativity,m,n_cut,revival_tau"
+    lines = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "gamma_tau,log_negativity,m,n_cut,revival_tau"
+    rows = [dict(zip(lines[0].split(","), map(float, l.split(",")))) for l in lines[1:]]
+    values = [row["log_negativity"] for row in rows]
+    assert len(values) == 5 and all(map(math.isfinite, values))
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+    phi = output_at_time(InitialStateSpec(nu=1.0, m=1), 0.5, n_cut=int(rows[0]["n_cut"]))
+    assert abs(values[0] - pure_state_log_negativity(phi)) < 1e-10
     summary = json.loads((tmp_path / "dec_negativity-vs-gammatau.json").read_text())
     assert summary["curves"][0]["initial"] >= summary["curves"][0]["final"]
 
@@ -309,14 +322,17 @@ def test_unwritable_out_dir_is_a_config_error(tmp_path, capsys, command, case):
     assert "Traceback" not in lines[0]
 
 
-# (argv, scenario JSON or None, artifact taken by a directory or None, exit code) of
-# a run that fails after it has begun to write: each once left some of its files
+# (argv, scenario JSON or None, --out-dir, artifact taken by a directory in out or
+# None, exit code) of a run that fails after it has begun to write: each once left
+# some of its files, or the --out-dir it made
+_REFUSED_TAU = {"husimi": {"taus": [0.5, 1e308], "resolution": 11}}
 PARTIAL_RUNS = {
-    "husimi-refused-at-second-tau": (["husimi"], {"husimi": {"taus": [0.5, 1e308],
-                                                             "resolution": 11}}, None, 2),
+    "husimi-refused-at-second-tau": (["husimi"], _REFUSED_TAU, "out", None, 2),
+    "husimi-refused-into-a-missing-out-dir": (["husimi"], _REFUSED_TAU, "nodir/sub", None, 2),
     "husimi-qmat-is-a-directory": (["husimi", "--tau", "0.5", "--resolution", "11"], None,
-                                   "s_husimi_tau_0.5.qmat", 1),
-    "decohere-json-is-a-directory": (["decohere"], _DECAY, "s_negativity-vs-gammatau.json", 1),
+                                   "out", "s_husimi_tau_0.5.qmat", 1),
+    "decohere-json-is-a-directory": (["decohere"], _DECAY, "out",
+                                     "s_negativity-vs-gammatau.json", 1),
 }
 
 
@@ -327,22 +343,22 @@ def snapshot(directory):
 
 @pytest.mark.parametrize("case", sorted(PARTIAL_RUNS))
 def test_failed_run_leaves_out_dir_as_it_was(tmp_path, capsys, case):
-    argv, config, taken, code = PARTIAL_RUNS[case]
+    argv, config, out_dir, taken, code = PARTIAL_RUNS[case]
     out = tmp_path / "out"
     out.mkdir()
     (out / "earlier.csv").write_text("kept\n")
     if taken is not None:
         (out / taken).mkdir()
-    before = snapshot(out)
-    argv = [*argv, "--name", "s", "--out-dir", out]
+    argv = [*argv, "--name", "s", "--out-dir", tmp_path / out_dir]
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv += ["--config", tmp_path / "cfg.json"]
+    before = snapshot(tmp_path)
     assert run_cli(argv) == code
     lines = capsys.readouterr().err.splitlines()
     prefix = "config error: out-dir: " if code == 1 else "infeasible scenario: "
     assert len(lines) == 1 and lines[0].startswith(prefix)
-    assert snapshot(out) == before
+    assert snapshot(tmp_path) == before
 
 
 # (scenario JSON, runner) of each command that writes one table
