@@ -11,7 +11,8 @@ sqrt(2)Im alpha), and the phase-space measure is dx dp / 2 (so sum(Q)*dx*dp/2
 is ~1 on a window enclosing the state).  Q is evaluated directly from the
 Fock amplitudes by a Horner pass over the grid.  Peaks are counted by
 topographic prominence with ``prominent_summits``, the same rule that finds
-the entropy minima of a curve in ``sweep``.  ``write_grid`` writes a grid
+the entropy minima of a curve in ``sweep``; it labels connected regions from
+horizontal runs with numpy alone.  ``write_grid`` writes a grid
 as a CSV of (x, p, Q) rows and as a dense ``.qmat`` matrix, formatting each
 value once for both files.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import log_factorials
+from .fock import check_real, log_factorials
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -83,6 +84,8 @@ def husimi_q(
     if half_width is None:
         probs = np.abs(amplitudes) ** 2
         half_width = default_half_width(float(np.dot(np.arange(len(probs)), probs)))
+    elif check_real("half_width", half_width) <= 0:
+        raise ValueError(f"half_width must be > 0, got {half_width!r}")
     x = p = np.linspace(-half_width, half_width, resolution)
 
     coeff = amplitudes * np.exp(-0.5 * log_factorials(len(amplitudes)))
@@ -102,6 +105,53 @@ def n_max_estimate(alpha_mag: float) -> float:
     return math.pi * alpha_mag / math.sqrt(math.log(10.0))
 
 
+def _box_max(values: np.ndarray) -> np.ndarray:
+    """Maximum over each entry's 3^ndim neighbourhood, edges repeated: a
+    three-wide running maximum along one axis after another."""
+    out = values
+    for axis in range(values.ndim):
+        src = np.moveaxis(out, axis, 0)
+        box = src.copy()
+        np.maximum(box[1:], src[:-1], out=box[1:])
+        np.maximum(box[:-1], src[1:], out=box[:-1])
+        out = np.moveaxis(box, 0, axis)
+    return out
+
+
+def _run_components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Horizontal runs of a 2-D boolean mask whose last column is False, and
+    the component of each run under full connectivity.
+
+    Returns the flat index of each run's first entry, the flat index just past
+    its last one (both in row-major order, increasing), and per run the
+    lowest index of a run in its component.  Runs in adjacent rows join when
+    their columns overlap or touch diagonally.  The run graph is merged by
+    hooking each root onto the smaller root across an edge, then pointer
+    jumping until every run names its root.
+    """
+    width = mask.shape[1]
+    edges = np.flatnonzero(np.diff(mask, axis=1, prepend=False))
+    starts, ends = edges[0::2], edges[1::2]
+    # run i meets the runs lo[i] .. hi[i] - 1 of the next row
+    lo = np.searchsorted(ends, starts + width, side="left")
+    hi = np.searchsorted(starts, ends + width, side="right")
+    counts = hi - lo
+    a = np.repeat(np.arange(len(starts)), counts)
+    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    root = np.arange(len(starts))
+    while len(a):
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        root[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return starts, ends, root
+
+
 def prominent_summits(values: np.ndarray, floor: float) -> list[int]:
     """First flat index of each regional maximum of ``values`` whose
     topographic prominence is at least ``floor``, in ascending order.
@@ -109,24 +159,40 @@ def prominent_summits(values: np.ndarray, floor: float) -> list[int]:
     A summit at level s counts when the component of {values > s - floor}
     holding it (full connectivity: 8 neighbours in 2-D) has no pixel above s,
     the h-maxima rule.  Plateaus, and equal summits joined above s - floor,
-    count once; the global maximum always counts.
-    """
-    # Imported here: at module level scipy.ndimage would add 0.06-0.1 s to
-    # every `import kerrsplit.cli`, and most commands never use it.
-    from scipy import ndimage
+    count once; the global maximum always counts.  ``values`` is a non-empty
+    1-D or 2-D array of finite numbers (a 1-D array is one row) and ``floor``
+    is > 0; anything else raises ValueError.
 
+    Components are labelled afresh for each distinct summit level, from the
+    horizontal runs of {values > s - floor}.
+    """
+    values = np.asarray(values)
+    if values.ndim not in (1, 2) or values.size == 0:
+        raise ValueError(f"values must be a non-empty 1-D or 2-D array, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    if not floor > 0:
+        raise ValueError(f"floor must be > 0, got {floor!r}")
     flat = values.ravel()
-    structure = ndimage.generate_binary_structure(values.ndim, values.ndim)
-    crest = values == ndimage.maximum_filter(values, footprint=structure, mode="nearest")
+    crest = values == _box_max(values)
     high = (values - values.min() >= floor) | (values == flat.max())
     candidates = np.flatnonzero(crest & high)
+    width = values.shape[-1]
+    # a column of -inf ends every row's last run, so that no run spans two rows
+    padded = np.full((flat.size // width, width + 1), -np.inf)
+    padded[:, :width] = values.reshape(-1, width)
+    padded = padded.ravel()
     summits = []
     for level in np.unique(flat[candidates]):
-        labels, _ = ndimage.label(values > level - floor, structure)
+        mask = (padded > level - floor).reshape(-1, width + 1)
+        starts, ends, root = _run_components(mask)
+        run_top = np.maximum.reduceat(padded, np.column_stack([starts, ends]).ravel())[0::2]
+        overtopped = np.zeros(len(starts), dtype=bool)
+        overtopped[root[run_top > level]] = True
         at_level = candidates[flat[candidates] == level]
-        components, first = np.unique(labels.ravel()[at_level], return_index=True)
-        tops = ndimage.maximum(values, labels, components)
-        summits.extend(int(at_level[i]) for i, top in zip(first, tops) if top <= level)
+        run = np.searchsorted(starts, at_level + at_level // width, side="right") - 1
+        components, first = np.unique(root[run], return_index=True)
+        summits.extend(int(at_level[i]) for i in first[~overtopped[components]])
     return sorted(summits)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -177,14 +178,26 @@ def as_grid(values):
     return PhaseSpaceGrid(np.arange(nx), np.arange(ny), values)
 
 
+def random_field(seed, shape, smooth, quantized):
+    """Uniform noise; ``smooth`` sums each 2 or 2x2 block, edges repeated
+    (fewer, broader summits), and ``quantized`` rounds to multiples of
+    2**-quantized, so that equal summits, plateaus and ties between
+    components come up often.  Sums and differences of such values are
+    exact, so a prominence equal to the floor is decided alike by an
+    oracle's differences and by the rule's levels s - floor."""
+    values = np.random.default_rng(seed).random(shape)
+    for axis in range(values.ndim) if smooth else ():
+        n = values.shape[axis]
+        values = values + np.take(values, np.minimum(np.arange(1, n + 1), n - 1), axis)
+    return values if quantized is None else np.round(values * 2**quantized) / 2**quantized
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 14), ny=st.integers(1, 14),
-       smooth=st.booleans(), rel=st.floats(0.01, 0.99))
-def test_count_peaks_equals_flood_fill(seed, nx, ny, smooth, rel):
-    values = np.random.default_rng(seed).random((nx, ny))
-    if smooth:  # 2x2 box sum: fewer, broader summits
-        padded = np.pad(values, ((0, 1), (0, 1)), mode="edge")
-        values = padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:]
+       smooth=st.booleans(), quantized=st.sampled_from([None, 3, 6]),
+       rel=st.floats(0.01, 0.99))
+def test_count_peaks_equals_flood_fill(seed, nx, ny, smooth, quantized, rel):
+    values = random_field(seed, (nx, ny), smooth, quantized)
     assert count_peaks(as_grid(values), rel) == flood_fill_count(values, rel)
 
 
@@ -215,20 +228,112 @@ def test_prominent_summits_ties_plateaus_and_edges():
     assert count_peaks(as_grid(plateau)) == 1
 
 
-def test_importing_the_cli_leaves_out_scipy_ndimage():
-    # scipy.ndimage costs 0.06-0.1 s to import and scipy.special 0.16-0.19 s;
-    # only peak and minimum detection need scipy at all, so no scipy module
-    # may join any command's start-up.
-    code = ("import sys, kerrsplit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.strip() == "[]"
+def ndimage_summits(values, floor):
+    """The h-maxima rule of prominent_summits with scipy.ndimage's maximum
+    filter and labelling: the reference for its numpy labelling."""
+    from scipy import ndimage
+
+    flat = values.ravel()
+    structure = ndimage.generate_binary_structure(values.ndim, values.ndim)
+    crest = values == ndimage.maximum_filter(values, footprint=structure, mode="nearest")
+    high = (values - values.min() >= floor) | (values == flat.max())
+    candidates = np.flatnonzero(crest & high)
+    summits = []
+    for level in np.unique(flat[candidates]):
+        labels, _ = ndimage.label(values > level - floor, structure)
+        at_level = candidates[flat[candidates] == level]
+        components, first = np.unique(labels.ravel()[at_level], return_index=True)
+        tops = ndimage.maximum(values, labels, components)
+        summits.extend(int(at_level[i]) for i, top in zip(first, tops) if top <= level)
+    return sorted(summits)
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.one_of(st.tuples(st.integers(1, 60)),
+                       st.tuples(st.integers(1, 20), st.integers(1, 20))),
+       smooth=st.booleans(), quantized=st.sampled_from([None, 3, 6]),
+       floor=st.floats(0.001, 1.5))
+def test_prominent_summits_equal_ndimage(seed, shape, smooth, quantized, floor):
+    values = random_field(seed, shape, smooth, quantized)
+    assert prominent_summits(values, floor) == ndimage_summits(values, floor)
+
+
+# the Husimi maps of the benchmark's husimi workload: (nu, m, tau)
+BENCHMARK_MAPS = [(5.0, 0, 1 / 2), (5.0, 0, 1 / 3), (5.0, 0, 1 / 4), (5.0, 0, 1 / 5),
+                  (5.0, 5, 1 / 7)]
+
+
+@pytest.mark.parametrize("nu,m,tau", BENCHMARK_MAPS)
+@pytest.mark.parametrize("rel", [0.02, 0.1, 0.3])
+def test_prominent_summits_equal_ndimage_on_benchmark_maps(nu, m, tau, rel):
+    values = husimi_q(evolved(nu, m, tau), resolution=201).values
+    floor = rel * values.max()
+    assert prominent_summits(values, floor) == ndimage_summits(values, floor)
+
+
+@pytest.mark.parametrize("values", [np.array(1.0), np.zeros(0), np.zeros((0, 3)),
+                                    np.zeros((2, 2, 2))], ids=["0-d", "1-d-empty",
+                                                               "2-d-empty", "3-d"])
+def test_prominent_summits_refuses_other_shapes(values):
+    with pytest.raises(ValueError, match=re.escape(str(values.shape))):
+        prominent_summits(values, 0.1)
+
+
+@pytest.mark.parametrize("values, floor", [(np.array([0.0, np.inf, 0.0]), 0.1),
+                                           (np.array([0.0, np.nan, 1.0]), 0.1),
+                                           (np.array([0.0, 1.0, 0.0]), 0.0),
+                                           (np.array([0.0, 1.0, 0.0]), -1.0),
+                                           (np.array([0.0, 1.0, 0.0]), np.nan)],
+                         ids=["inf", "nan", "floor-0", "floor-negative", "floor-nan"])
+def test_prominent_summits_refuses_non_finite_values_and_floors_not_above_zero(values, floor):
+    with pytest.raises(ValueError):
+        prominent_summits(values, floor)
+
+
+SCIPY_BLOCKED_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+from kerrsplit.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy.ndimage alone pulls in about 300 modules; no command needs any
+    (tmp_path / "surface.json").write_text(json.dumps({
+        "name": "s", "initial": {"nu": 1.0},
+        "time_grid": {"start": 0.0, "stop": 1.0, "steps": 5},
+        "nu_grid": {"start": 0.5, "stop": 1.0, "steps": 2}}))
+    (tmp_path / "decohere.json").write_text(json.dumps({
+        "name": "d", "initial": {"nu": 1.0, "m": 1},
+        "channel": {"gamma_tau_grid": {"start": 0.0, "stop": 1.0, "steps": 3}, "tau": 0.5}}))
+    out = str(tmp_path)
+    commands = [
+        ["entropy", "--nu", "5", "--tau-steps", "201", "--name", "e", "--out-dir", out],
+        ["surface", "--config", str(tmp_path / "surface.json"), "--out-dir", out],
+        ["husimi", "--nu", "5", "--tau", "0.5", "--resolution", "41", "--name", "h",
+         "--out-dir", out],
+        ["decohere", "--config", str(tmp_path / "decohere.json"), "--out-dir", out],
+    ]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN, json.dumps(commands)],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert json.loads((tmp_path / "e_entropy-curve.json").read_text())["n_minima"] > 0
+    assert json.loads((tmp_path / "h_husimi.json").read_text())["grids"][0]["peak_count"] == 2
 
 
 def test_husimi_validation():
     with pytest.raises(ValueError):
         husimi_q(vacuum(3), resolution=1)
+
+
+@pytest.mark.parametrize("half_width", [0.0, -3.0, math.nan, math.inf])
+def test_husimi_refuses_a_half_width_that_is_not_finite_and_positive(half_width):
+    with pytest.raises(ValueError, match="half_width"):
+        husimi_q(vacuum(3), half_width=half_width, resolution=5)
 
 
 def test_default_half_width_grows_with_occupation():
