@@ -37,18 +37,26 @@ phase-covariant channel and E_N ignore, leaving rho[p, k, p', k'] =
 sigma'[p+k, p'+k'] * w[p, k] * w[p', k'] with the symmetric weights
 w[p, k] = sqrt(C(p+k, p) / 2^(p+k)), read through the splitter's gather,
 whose entries with p + k >= d carry zero weight.  Each mode keeps the fewest leading
-levels whose marginal mass beyond them is below ``fock._TAIL``, the rule of
-the Fock cutoff, from mode c's marginal sum_k sigma'[p+k, p+k] * w[p, k]^2,
+levels whose marginal mass beyond them is below ``_EN_TAIL``, by the rule
+of the Fock cutoff, from mode c's marginal sum_k sigma'[p+k, p+k] * w[p, k]^2,
 which mode d shares; after an excess rate the diagonal of rho trims them
-again.  The error in E_N is O(sqrt(_TAIL)) by the gentle-measurement lemma
-(Winter 1999).  At gamma*tau = 0, E_N is the closed form
-``pure_state_log_negativity`` of the untrimmed split state.
+again.  The error in E_N is O(sqrt(_EN_TAIL)) by the gentle-measurement lemma
+(Winter 1999), and up to about 2 * sqrt(_EN_TAIL) in practice: at a coherent
+input with tau = 0 and little loss, where the E_N of about 1e-8 is all the
+Fock cutoff's, the trim at ``fock._TAIL`` = 1e-20 lost 1.2e-10 of it.  So
+``_EN_TAIL`` is a tenth of ``fock._TAIL``, which keeps E_N within 1e-10 of
+the untrimmed one for one more kept level per mode.  At gamma*tau = 0, E_N
+is the closed form ``pure_state_log_negativity`` of the untrimmed split
+state.
 
-At equal rates rho is swap invariant, so its partial transpose is real
-symmetric in a fixed basis (the orthogonal class of Dyson's threefold way,
-J. Math. Phys. 3, 1199 (1962)), which ``_split_real_form`` gathers from
-sigma' for the real eigvalsh of ``log_negativity``; unequal rates take the
-complex one.
+Both routes gather rho from sigma' with one function, ``_split_state``.  At
+equal rates rho is swap invariant, so its partial transpose X = A + iB is
+real symmetric in a fixed basis (the orthogonal class of Dyson's threefold
+way, J. Math. Phys. 3, 1199 (1962)): the swap S of the modes gives
+S X S = conj(X), so V = (1 - iS)/sqrt(2) is unitary and V^dag X V = A + BS
+is real.  ``_split_real_form`` builds it from the gathers of the real and
+imaginary parts of sigma' for the real eigvalsh of ``log_negativity``;
+unequal rates gather the complex rho and take the complex eigvalsh.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ import numpy as np
 
 from .beamsplitter import _splitter_gather, split_amplitudes
 from .entanglement import log_negativity, pure_state_log_negativity
-from .fock import DEFAULT_DIM_CAP, _kept_mode_levels, check_dim_cap, check_real, log_factorials
+from .fock import DEFAULT_DIM_CAP, _TAIL, _kept_mode_levels, check_dim_cap, check_real, log_factorials
 
 __all__ = [
     "ChannelParams",
@@ -68,7 +76,7 @@ __all__ = [
     "negativity_decay_curve",
 ]
 
-_SQRT2 = math.sqrt(2.0)
+_EN_TAIL = _TAIL / 10  # the loss curves' trim tail (module docstring)
 
 
 @dataclass(frozen=True)
@@ -134,41 +142,32 @@ def damp(
     return out.copy() if out is rho else out
 
 
-def _split_real_form(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """A real array whose partial transpose is U^dag X U, for X the partial
-    transpose of the split state rho at n levels per mode (module docstring),
-    so ``log_negativity`` of it is log_negativity(rho); ``sigma`` is sigma',
-    read through the splitter's gather ``index`` and weights ``w``.
+def _split_state(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """The split state rho[p, k, p', k'] = sigma[p+k, p'+k'] * w[p, k] * w[p', k']
+    at n levels per mode, read through the splitter's gather ``index`` and
+    weights ``w`` (module docstring); real when ``sigma`` is."""
+    flat = index[:n, :n].ravel()
+    wf = w[:n, :n].ravel()
+    rho = sigma[flat][:, flat]
+    rho *= wf[:, None]
+    rho *= wf
+    return rho.reshape((n,) * 4)
 
-    The swap S of the modes gives S X S = conj(X), so X is real symmetric in
-    the basis U of |aa>, (|ab> + |ba>)/sqrt(2) and i(|ab> - |ba>)/sqrt(2),
-    a < b, labelled (a, a), (a, b) and (b, a).  Row (b, a) of X U is the
-    conjugate of row (a, b), so the rows of U^dag X U are the real part of row
-    (a, a) of X U, and sqrt(2) times the real and imaginary parts of row
-    (a, b): only the rows a <= b of X, X[(a, b), (c, d)] = rho[c, b, a, d],
-    are gathered.
+
+def _split_real_form(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """A real array whose partial transpose is V^dag X V, for X = A + iB the
+    partial transpose of the split state rho of sigma' at n levels per mode,
+    so ``log_negativity`` of it is log_negativity(rho).
+
+    The swap S of the modes gives S X S = conj(X), so S commutes with A and
+    anticommutes with B, V = (1 - iS)/sqrt(2) is unitary, and V^dag X V =
+    A + BS is real symmetric: in rho's layout, Re rho[i, j, k, l] +
+    Im rho[l, j, k, i].  The real and imaginary parts are gathered apart,
+    so no complex rho is built.
     """
-    i, j = np.triu_indices(n, 1)
-    diag = np.arange(n)
-    a, b = np.concatenate([diag, i]), np.concatenate([diag, j])
-    z = sigma[index[b, :n, None], index[a, None, :n]]  # z[r, c, d] = X[(a_r, b_r), (c, d)]
-    z *= w[b, :n, None]
-    z *= w[a, None, :n]
-    # columns of sqrt(2) X U: X(cd) + X(dc) at (c, d), i(X(cd) - X(dc)) at (d, c)
-    upper, lower = z[:, i, j], z[:, j, i]
-    upper += lower
-    lower *= -2.0
-    lower += upper
-    lower *= 1j
-    z[:, i, j], z[:, j, i] = upper, lower
-    del upper, lower  # free the gathers before the real array is allocated
-    z[:, diag, diag] *= _SQRT2
-    z[:n] /= _SQRT2  # rows (a, a) of U^dag X U take no sqrt(2)
-    out = np.empty((n,) * 4)
-    real = np.swapaxes(out, 0, 2)  # U^dag X U, written through the partial transpose
-    real[a, b] = z.real
-    real[j, i] = z[n:].imag
-    return out
+    real = _split_state(sigma.real, index, w, n)
+    real += _split_state(sigma.imag, index, w, n).transpose(3, 1, 2, 0)
+    return real
 
 
 def negativity_decay_curve(
@@ -212,16 +211,13 @@ def negativity_decay_curve(
             continue
         tau = g / params.gamma1
         damped = _damp_mode(sigma, slow * tau, (0, 1))
-        n = max(_kept_mode_levels(damped.diagonal().real[index] * w * w))
+        n = max(_kept_mode_levels(damped.diagonal().real[index] * w * w, _EN_TAIL))
         if fast == slow:
             curve.append((g, log_negativity(_split_real_form(damped, index, w, n))))
             continue
-        kept, wn = index[:n, :n], w[:n, :n]
-        rho = damped[kept[:, :, None, None], kept]
-        rho *= wn[:, :, None, None]
-        rho *= wn
+        rho = _split_state(damped, index, w, n)
         faster = (0, 2) if params.gamma1 > params.gamma2 else (1, 3)
         rho = _damp_mode(rho, (fast - slow) * tau, faster)
-        n1, n2 = _kept_mode_levels(np.einsum("abab->ab", rho).real)
+        n1, n2 = _kept_mode_levels(np.einsum("abab->ab", rho).real, _EN_TAIL)
         curve.append((g, log_negativity(rho[:n1, :n2, :n1, :n2])))
     return curve

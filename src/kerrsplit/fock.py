@@ -7,10 +7,10 @@ operates on the arrays built here.  One builder,
 renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
 (the fewest leading levels that hold all but a tail of the weight), sets the
 cutoff and refuses a cutoff that would drop ``tail_tol`` of the state.
-One trim call, ``_kept_mode_levels``, applies that rule at ``_TAIL`` to each
-output mode's marginal of a two-mode photon-number mass: |phi|^2 once per
-curve for the Schmidt SVDs in ``sweep``, and the diagonal of each damped
-split state for the loss curves in ``decoherence``.  Factorials and
+One trim call, ``_kept_mode_levels``, applies that rule to each output
+mode's marginal of a two-mode photon-number mass: |phi|^2 once per curve for
+the Schmidt SVDs in ``sweep``, at ``_TAIL``, and the diagonal of each damped
+split state for the loss curves in ``decoherence``, at its tighter tail.  Factorials and
 binomials are in log space, from ``log_factorials``, so levels near n = 100
 stay finite.
 """
@@ -151,11 +151,11 @@ def _kept_levels(weights: np.ndarray, tail: float) -> int:
     return int(np.count_nonzero(beyond >= tail)) + 1
 
 
-def _kept_mode_levels(mass: np.ndarray) -> tuple[int, int]:
+def _kept_mode_levels(mass: np.ndarray, tail: float = _TAIL) -> tuple[int, int]:
     """Kept levels of modes c and d of a two-mode state whose photon-number
     mass is mass[p, k] (|phi[p, k]|^2 for a pure state, rho[p, k, p, k] for a
-    mixed one): ``_kept_levels`` of each mode's marginal at ``_TAIL``."""
-    return _kept_levels(mass.sum(axis=1), _TAIL), _kept_levels(mass.sum(axis=0), _TAIL)
+    mixed one): ``_kept_levels`` of each mode's marginal at ``tail``."""
+    return _kept_levels(mass.sum(axis=1), tail), _kept_levels(mass.sum(axis=0), tail)
 
 
 def choose_cutoff(nu: float, m: int, policy: CutoffPolicy = CutoffPolicy()) -> int:

@@ -273,7 +273,7 @@ def config_from_json(path) -> ScenarioConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
     return config_from_dict(raw)
 

@@ -395,8 +395,9 @@ def test_table_artifacts_parse_back_to_the_runner_result(tmp_path, command):
     assert summary == table.summary
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"q_max": ' + b"1" * 5000 + b"}"],
-                         ids=["not-utf8", "5000-digit-int"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"q_max": ' + b"1" * 5000 + b"}",
+                                     b"[" * 200000 + b"]" * 200000],
+                         ids=["not-utf8", "5000-digit-int", "deeply-nested"])
 def test_unparsable_config_file_exits_1(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(content)

@@ -7,9 +7,11 @@ from scipy.special import comb, gammaln
 
 from kerrsplit.beamsplitter import _splitter_gather, output_at_time, split_amplitudes
 from kerrsplit.decoherence import (
+    _EN_TAIL,
     ChannelParams,
     _damp_mode,
     _split_real_form,
+    _split_state,
     damp,
     negativity_decay_curve,
 )
@@ -426,14 +428,19 @@ def test_split_real_eigensolve_equals_complex_eigensolve(d):
     """Random pure and mixed single-mode states, some of low enough rank that
     the partial transpose of their split state has negative eigenvalues, at
     every kept size n: the real form's partial transpose is symmetric with
-    the spectrum of the split state's, reflection phase and all."""
+    the spectrum of the split state's, reflection phase and all, and the
+    shared gather is the split state without the splitter's i^k."""
     rng = np.random.default_rng(d)
+    index, weights = _splitter_gather(d, d)
     for rank in (1, 2, d):
         g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
         sigma = g @ g.conj().T
         sigma /= np.trace(sigma).real
         for n in range(1, d + 1):
             rho = split_density(sigma)[:n, :n, :n, :n]
+            i_k = 1j ** np.arange(n)  # the splitter's phase on mode d's level k
+            no_phase = rho * i_k.conj()[:, None, None] * i_k
+            assert np.max(np.abs(_split_state(sigma, index, np.abs(weights), n) - no_phase)) < 1e-15
             form = split_real_form(sigma, n)
             real = partial_transpose(form).reshape(n * n, n * n)
             assert real.dtype == float
@@ -516,5 +523,5 @@ def test_real_eigensolve_equals_complex_eigensolve_on_the_same_trimmed_state(
     state = kerr_state(nu, m, tau)
     (_, got), = negativity_decay_curve(state, [gamma_tau], params)
     rho = damp(pure_to_density(split_amplitudes(state)), gamma_tau / gamma, params)
-    n = max(_kept_mode_levels(np.einsum("abab->ab", rho).real))
+    n = max(_kept_mode_levels(np.einsum("abab->ab", rho).real, _EN_TAIL))
     assert abs(got - log_negativity(rho[:n, :n, :n, :n])) < 1e-12
