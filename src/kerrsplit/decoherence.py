@@ -43,11 +43,12 @@ which mode d shares; after an excess rate the diagonal of rho trims them
 again.  The error in E_N is O(sqrt(_EN_TAIL)) by the gentle-measurement lemma
 (Winter 1999), and up to about 2 * sqrt(_EN_TAIL) in practice: at a coherent
 input with tau = 0 and little loss, where the E_N of about 1e-8 is all the
-Fock cutoff's, the trim at ``fock._TAIL`` = 1e-20 lost 1.2e-10 of it.  So
-``_EN_TAIL`` is a tenth of ``fock._TAIL``, which keeps E_N within 1e-10 of
-the untrimmed one for one more kept level per mode.  At gamma*tau = 0, E_N
-is the closed form ``pure_state_log_negativity`` of the untrimmed split
-state.
+Fock cutoff's, a trim at 1e-20 lost 1.2e-10 of it.  So ``_EN_TAIL`` is
+1e-21, which keeps E_N within 1e-10 of the untrimmed one for one more kept
+level per mode.  It is apart from the entropy curves' ``fock._TAIL``
+(1e-16), whose error in the entropy grows as tail * log(1/tail), not as its
+square root.  At gamma*tau = 0, E_N is the closed form
+``pure_state_log_negativity`` of the untrimmed split state.
 
 Both routes gather rho from sigma' with one function, ``_split_state``.  At
 equal rates rho is swap invariant, so its partial transpose X = A + iB is
@@ -67,8 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import _splitter_gather, split_amplitudes
-from .entanglement import log_negativity, pure_state_log_negativity
-from .fock import DEFAULT_DIM_CAP, _TAIL, _kept_mode_levels, check_dim_cap, check_real, log_factorials
+from .entanglement import log_negativity, partial_transpose, pure_state_log_negativity
+from .fock import DEFAULT_DIM_CAP, _kept_mode_levels, check_dim_cap, check_real, log_factorials
 
 __all__ = [
     "ChannelParams",
@@ -76,7 +77,7 @@ __all__ = [
     "negativity_decay_curve",
 ]
 
-_EN_TAIL = _TAIL / 10  # the loss curves' trim tail (module docstring)
+_EN_TAIL = 1e-21  # the loss curves' trim tail (module docstring)
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,15 @@ def _split_real_form(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int
     The swap S of the modes gives S X S = conj(X), so S commutes with A and
     anticommutes with B, V = (1 - iS)/sqrt(2) is unitary, and V^dag X V =
     A + BS is real symmetric: in rho's layout, Re rho[i, j, k, l] +
-    Im rho[l, j, k, i].  The real and imaginary parts are gathered apart,
-    so no complex rho is built.
+    Im rho[l, j, k, i].  The real and imaginary parts are gathered apart, so
+    no complex rho is built, and the real part is partial transposed before
+    the imaginary part is gathered.  The result is a view of that contiguous
+    partial transpose, so ``log_negativity`` copies nothing before eigvalsh
+    does: one n^4 array is alive when it does.
     """
-    real = _split_state(sigma.real, index, w, n)
-    real += _split_state(sigma.imag, index, w, n).transpose(3, 1, 2, 0)
-    return real
+    pt = partial_transpose(_split_state(sigma.real, index, w, n))
+    pt += _split_state(sigma.imag, index, w, n).transpose(2, 1, 3, 0)
+    return pt.swapaxes(0, 2)
 
 
 def negativity_decay_curve(

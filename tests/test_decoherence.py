@@ -442,6 +442,7 @@ def test_split_real_eigensolve_equals_complex_eigensolve(d):
             no_phase = rho * i_k.conj()[:, None, None] * i_k
             assert np.max(np.abs(_split_state(sigma, index, np.abs(weights), n) - no_phase)) < 1e-15
             form = split_real_form(sigma, n)
+            assert np.shares_memory(partial_transpose(form), form)  # no copy before eigvalsh
             real = partial_transpose(form).reshape(n * n, n * n)
             assert real.dtype == float
             assert np.max(np.abs(real - real.T)) < 1e-14

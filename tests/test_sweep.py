@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kerrsplit import fock, sweep
-from kerrsplit.entanglement import entanglement_entropy, pure_state_log_negativity
-from kerrsplit.beamsplitter import output_at_time
+from kerrsplit.entanglement import (
+    _ENTROPY_FLOOR,
+    entanglement_entropy,
+    pure_state_log_negativity,
+    schmidt_spectrum,
+    von_neumann_entropy,
+)
+from kerrsplit.beamsplitter import output_at_time, split_amplitudes
 from kerrsplit.decoherence import ChannelParams, negativity_decay_curve
 from kerrsplit.fock import InitialStateSpec, build_initial_state, choose_cutoff
 from kerrsplit.kerr import kerr_evolve
@@ -448,7 +454,7 @@ def test_run_husimi_requires_taus(tmp_path):
 def kept_levels(nu, m):
     """Each output mode's kept levels, from the untrimmed oracle's marginals."""
     mass = np.abs(output_at_time(InitialStateSpec(nu=nu, m=m), 0.0)) ** 2
-    return max(fock._kept_mode_levels(mass))
+    return max(fock._kept_mode_levels(mass, fock._TAIL))
 
 
 def block_rows(nu, m):
@@ -456,9 +462,10 @@ def block_rows(nu, m):
     return max(1, _BLOCK_BYTES // (16 * n * n))
 
 
-# The curve runs on each mode's kept levels, which drop under 1e-20 of its
+# The curve runs on each mode's kept levels, which drop under 1e-16 of its
 # photon-number mass; against the untrimmed pipeline that moves E(tau) by at
-# most 1.8e-15 (measured over 1000 tau for nu = 0..40, m = 0..5).
+# most 5.7e-14 (measured over 1000 tau for nu = 0..40, m = 0..5), within the
+# bound in the fock docstring.
 TRIM_BOUND = 1e-12
 
 
@@ -481,6 +488,33 @@ def test_batched_curve_equals_pointwise_pipeline(nu, m, start, stop, length):
     for tau, ent in zip(columns["tau"], columns["entropy_ebits"]):
         assert ent == pytest.approx(entanglement_entropy(output_at_time(spec, tau)),
                                     rel=0, abs=TRIM_BOUND)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(0.0, 25.0), m=st.integers(0, 6), tau=st.floats(0.0, 1.0))
+def test_pure_trim_stays_within_its_error_bound(nu, m, tau):
+    """The fock docstring's bound on the pure trim at its tail t, a tenth of
+    the entropy floor: the kept block's Schmidt weights lie termwise below
+    the untrimmed ones and sum to at most 2t less, and the entropy moves by
+    at most Fannes' two terms plus eta(floor) for each weight carried across
+    the floor, counted from both spectra as von_neumann_entropy normalizes
+    them.  The weights themselves are compared up to the d * eps roundoff of
+    a backward-stable SVD (about a fifth of it was seen)."""
+    amplitudes = build_initial_state(InitialStateSpec(nu=nu, m=m))
+    row = kerr_evolve(amplitudes, tau)
+    lam = schmidt_spectrum(split_amplitudes(row))
+    n, d = kept_levels(nu, m), len(lam)
+    kept = np.zeros(d)
+    kept[:n] = schmidt_spectrum(split_amplitudes(row, n))
+    roundoff = d * np.finfo(float).eps
+    assert np.all(kept <= lam + roundoff)
+    t = _ENTROPY_FLOOR / 10
+    assert np.sum(lam - kept) <= 2 * t + roundoff
+    crossings = np.count_nonzero((lam / lam.sum() > _ENTROPY_FLOOR)
+                                 != (kept / kept.sum() > _ENTROPY_FLOOR))
+    bound = (2 * t * math.log2(d / (2 * t)) + 2 * t * (math.log2(d) + 1.5)
+             - crossings * _ENTROPY_FLOOR * math.log2(_ENTROPY_FLOOR))  # eta(floor) each
+    assert abs(von_neumann_entropy(lam) - von_neumann_entropy(kept)) <= bound
 
 
 def test_surface_columns_equal_pointwise_pipeline():
