@@ -6,13 +6,12 @@ decoherence under photon loss."""
 __version__ = "0.1.0"
 
 from .beamsplitter import output_at_time, split_amplitudes
-from .decoherence import ChannelParams, damp, negativity_decay_curve
+from .decoherence import ChannelParams, negativity_decay_curve
 from .entanglement import (
     entanglement_entropy,
     log_negativity,
     partial_transpose,
     pure_state_log_negativity,
-    pure_to_density,
     schmidt_spectrum,
     von_neumann_entropy,
 )

@@ -1,36 +1,32 @@
 """Zero-temperature photon loss on the two output modes.
 
-Each mode decays independently with rate gamma_j; in the Fock basis the
-damped density matrix has the closed form
+Each mode decays independently with rate gamma_j.  For g = gamma_j*tau its
+channel is the amplitude-damping Kraus sum (Nielsen & Chuang, section
+8.3.5), which ``_damp_mode`` runs on that mode's (row, column) axes of a
+density matrix:
 
-    <m1,m2|rho(tau)|n1,n2> = sum_{p1,p2} R_1 R_2
-                             <m1+p1, m2+p2|rho(0)|n1+p1, n2+p2>,
-    R_j = C(m_j+p_j, p_j)^(1/2) * C(n_j+p_j, p_j)^(1/2)
-          * (1 - exp(-2*g_j))^(p_j) * exp(-g_j*(m_j+n_j)),   g_j = gamma_j*tau,
+    rho[..m..n..] <- sum_p a_p[m] * a_p[n] * rho[..m+p..n+p..],
+    a_p[m] = C(m+p, p)^(1/2) * (1 - exp(-2g))^(p/2) * exp(-g*m),
 
 exact on a truncated basis because every p-sum terminates at the cutoff.
-Free mode rotations are local unitaries that cannot move any entanglement
-quantity computed downstream, so they are omitted.  Mode 1 is output mode c,
-mode 2 is mode d; rho[m1, m2, n1, n2] may keep d1 levels of mode c and d2 of
-mode d.
-
-The sum factorizes per mode, and each factor is that mode's amplitude-damping
-Kraus sum (Nielsen & Chuang, section 8.3.5): R_j = a_p[m_j] * a_p[n_j] with
-a_p[m] = C(m+p, p)^(1/2) * (1 - exp(-2g))^(p/2) * exp(-g*m).  ``damp`` runs
-it on mode c, then on mode d, as written: from one (d, d) table a_p[m] per
-mode, each p adds a_p[m] * a_p[n] times the block of rho shifted by p on
-that mode's (m, n) axes to the leading (d - p, d - p) block of a
-zero-initialised output.
+From one (d, d) table a_p[m], each p adds a_p[m] * a_p[n] times the block
+of rho shifted by p on the mode's (m, n) axes to the leading (d - p, d - p)
+block of a zero-initialised output.  The channels of the two modes commute,
+and each is a semigroup in tau.  Free mode rotations are local unitaries
+that cannot move any entanglement quantity computed downstream, so they are
+omitted.  Mode 1 is output mode c, mode 2 is mode d; rho[m1, m2, n1, n2]
+may keep d1 levels of mode c and d2 of mode d.
 
 ``negativity_decay_curve`` damps before the splitter.  At equal rates the
 loss generator sum_j gamma D[a_j] is invariant under any passive two-mode
 unitary, and the vacuum in the splitter's second port is a fixed point of
-loss, so damp(BS (sigma x |0><0|) BS^dag) = BS (damp_1(sigma) x |0><0|) BS^dag
-for the single-mode sigma = |c><c| (uniform loss commutes with linear
-optics; Oszmaniec & Brod, New J. Phys. 20, 092002 (2018)).  Each damped
-point runs ``_damp_mode`` on the d x d sigma, then splits it.  Unequal rates
-factor exactly, as the modes' channels commute and each is a semigroup: the
-smaller rate acts on sigma, and the excess on the faster mode after the split.
+loss, so the two-mode channel takes BS (sigma x |0><0|) BS^dag to
+BS (damp_1(sigma) x |0><0|) BS^dag for the single-mode sigma = |c><c|
+(uniform loss commutes with linear optics; Oszmaniec & Brod, New J. Phys.
+20, 092002 (2018)).  Each damped point runs ``_damp_mode`` on the d x d
+sigma, then splits it.  Unequal rates factor exactly, as the modes' channels
+commute and each is a semigroup: the smaller rate acts on sigma, and the
+excess on the faster mode after the split.
 
 The split drops the splitter's i^k, a local phase on mode d that the
 phase-covariant channel and E_N ignore, leaving rho[p, k, p', k'] =
@@ -73,7 +69,6 @@ from .fock import DEFAULT_DIM_CAP, _kept_mode_levels, check_dim_cap, check_real,
 
 __all__ = [
     "ChannelParams",
-    "damp",
     "negativity_decay_curve",
 ]
 
@@ -119,30 +114,6 @@ def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
     return np.moveaxis(out, (-2, -1), axes)
 
 
-def damp(
-    rho: np.ndarray,
-    tau: float,
-    params: ChannelParams = ChannelParams(),
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> np.ndarray:
-    """Apply the loss channel for time tau to rho[m1, m2, n1, n2], of shape
-    (d1, d2, d1, d2).
-
-    Trace preserving, Hermiticity preserving, completely positive, and a
-    semigroup in tau (damping for tau_a then tau_b equals tau_a + tau_b).
-    Returns a new array, also at tau = 0.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 4 or rho.shape[:2] != rho.shape[2:]:
-        raise ValueError(f"rho must have shape (d1, d2, d1, d2), got {rho.shape}")
-    if check_real("tau", tau) < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    check_dim_cap(rho.shape[0] * rho.shape[1], dim_cap, "two-mode density matrix")
-    g1, g2 = params.gamma1 * tau, params.gamma2 * tau
-    out = _damp_mode(_damp_mode(rho, g1, (0, 2)), g2, (1, 3))
-    return out.copy() if out is rho else out
-
-
 def _split_state(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """The split state rho[p, k, p', k'] = sigma[p+k, p'+k'] * w[p, k] * w[p', k']
     at n levels per mode, read through the splitter's gather ``index`` and
@@ -185,7 +156,8 @@ def negativity_decay_curve(
 
     The abscissa is gamma1 * tau (the paper-style axis; with equal couplings
     it is the common gamma*tau).  ``amplitudes`` must be a finite 1-D array
-    with a finite, nonzero norm.  The dimension check, on the untrimmed d^2
+    with a finite, nonzero norm, and are normalised first, so the curve of
+    any multiple of c is that of c.  The dimension check, on the untrimmed d^2
     of the two-mode state, runs before any work so infeasible inputs fail
     fast.
     """
@@ -196,6 +168,7 @@ def negativity_decay_curve(
         norm = (np.abs(c) ** 2).sum()
     if not 0.0 < norm < math.inf:
         raise ValueError("amplitudes must have a finite, nonzero norm")
+    c = c / math.sqrt(norm)
     d = len(c)
     check_dim_cap(d * d, dim_cap, "two-mode density matrix")
     gamma_tau_values = [float(check_real("gamma_tau", g)) for g in gamma_tau_values]

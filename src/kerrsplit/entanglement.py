@@ -19,7 +19,6 @@ __all__ = [
     "log_negativity",
     "partial_transpose",
     "pure_state_log_negativity",
-    "pure_to_density",
     "schmidt_spectrum",
     "von_neumann_entropy",
 ]
@@ -60,16 +59,6 @@ def entanglement_entropy(phi: np.ndarray) -> float | np.ndarray:
     """Entropy of entanglement (ebits) of a pure two-mode amplitude matrix;
     one per matrix, from one batched SVD, for a (T, d, d) stack."""
     return von_neumann_entropy(schmidt_spectrum(phi))
-
-
-def pure_to_density(phi: np.ndarray) -> np.ndarray:
-    """Rank-1 density matrix rho[m1,m2,n1,n2] = phi[m1,m2] * conj(phi[n1,n2]),
-    of shape (d1, d2, d1, d2) for a (d1, d2) phi."""
-    phi = np.asarray(phi, dtype=complex)
-    if phi.ndim != 2:
-        raise ValueError(f"phi must be a (d1, d2) matrix, got shape {phi.shape}")
-    v = phi.reshape(-1)
-    return np.outer(v, v.conj()).reshape(phi.shape * 2)
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

@@ -136,20 +136,16 @@ def reconstruct_fock(
     return amps / math.sqrt(retained)
 
 
-def oracle_fidelity(
-    nu: float,
-    p: int,
-    q: int,
-    theta: float = math.pi / 4,
-    policy: CutoffPolicy = CutoffPolicy(),
-) -> float:
-    """|<oracle|direct>| between the reconstructed superposition and kerr_evolve.
+def oracle_fidelity(nu: float, p: int, q: int) -> float:
+    """|<oracle|direct>| between the reconstructed superposition and
+    kerr_evolve, for the coherent input of mean photon number nu at the
+    default phase theta = pi/4, cut off by the default ``CutoffPolicy``.
 
     Both states live in the same truncated basis, so unit fidelity up to
     roundoff is the expected outcome for every coprime (p, q).
     """
-    spec = InitialStateSpec(nu=nu, theta=theta)
-    direct = kerr_evolve(build_initial_state(spec, policy=policy), p / q)
+    spec = InitialStateSpec(nu=nu)
+    direct = kerr_evolve(build_initial_state(spec), p / q)
     sup = fractional_revival_superposition(spec.alpha, p, q)
-    rebuilt = reconstruct_fock(sup, len(direct) - 1, policy)
+    rebuilt = reconstruct_fock(sup, len(direct) - 1)
     return float(abs(np.vdot(rebuilt, direct)))

@@ -10,19 +10,15 @@ import time
 import numpy as np
 
 from kerrsplit.beamsplitter import output_at_time
-from kerrsplit.decoherence import ChannelParams, damp, negativity_decay_curve
-from kerrsplit.entanglement import (
-    entanglement_entropy,
-    pure_state_log_negativity,
-    pure_to_density,
-)
+from kerrsplit.decoherence import ChannelParams, negativity_decay_curve
+from kerrsplit.entanglement import entanglement_entropy, pure_state_log_negativity
 from kerrsplit.fock import InitialStateSpec
 from kerrsplit.husimi import count_peaks, husimi_q, n_max_estimate
 from kerrsplit.kerr import kerr_evolve, oracle_fidelity
 from kerrsplit.sweep import GridSpec, ScenarioConfig, run_entropy_curve
 from kerrsplit.fock import build_initial_state
 
-from test_decoherence import kraus_damp, random_pure_rho
+from test_decoherence import damp, kraus_damp, pure_to_density, random_pure_rho
 
 
 def report(num, label, ok, detail, t0):

@@ -10,11 +10,12 @@ from kerrsplit.entanglement import (
     log_negativity,
     partial_transpose,
     pure_state_log_negativity,
-    pure_to_density,
     schmidt_spectrum,
     von_neumann_entropy,
 )
 from kerrsplit.fock import InitialStateSpec, choose_cutoff
+
+from test_decoherence import pure_to_density
 
 FOCK5 = np.eye(9, dtype=complex)[5]  # |5> over levels 0..8
 
@@ -160,17 +161,6 @@ def test_log_negativity_mode_choice_agrees():
     transpose_d = np.swapaxes(rho, 1, 3).reshape(25, 25)
     trace_norm_d = np.abs(np.linalg.eigvalsh(transpose_d)).sum()
     assert abs(log_negativity(rho) - math.log2(trace_norm_d)) < 1e-10
-
-
-def test_pure_to_density_takes_rectangular_and_rejects_non_matrix():
-    rng = np.random.default_rng(11)
-    phi = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    rho = pure_to_density(phi)
-    assert rho.shape == (2, 3, 2, 3)
-    assert np.array_equal(rho, phi[:, :, None, None] * phi.conj()[None, None, :, :])
-    for shape in ((6,), (2, 3, 1)):
-        with pytest.raises(ValueError):
-            pure_to_density(np.zeros(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("m", [0, 5])
