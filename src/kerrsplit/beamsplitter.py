@@ -13,6 +13,17 @@ input rows (one per evolution time) splits in a single vectorized step.
 or, given ``kept``, for the leading ``kept`` levels only: the block that the
 entropy curves keep after their per-mode trim.  ``output_at_time`` keeps
 every level.
+
+A single-mode density matrix sigma splits through the same gather, on both
+sides.  ``_split_density`` drops the splitter's i^k, a local phase on mode d
+that the phase-covariant loss channel and E_N ignore, leaving
+rho[p, k, p', k'] = sigma[p+k, p'+k'] * w[p, k] * w[p', k'] with the
+symmetric weights w[p, k] = |W[p, k]| = sqrt(C(p+k, p) / 2^(p+k)), at the
+leading n levels of each output mode.  The split of a photon-number vector
+P[n] (|c[n]|^2 of a pure state, the diagonal of sigma) is the two-mode mass
+P[p + k] * w[p, k]^2, and ``_kept_split_levels`` trims both output modes
+from it by ``fock._kept_mode_levels``, without building a two-mode
+amplitude: the modes' marginals are equal, so one size fits both.
 """
 
 from __future__ import annotations
@@ -22,7 +33,13 @@ import math
 
 import numpy as np
 
-from .fock import CutoffPolicy, InitialStateSpec, build_initial_state, check_int, log_factorials
+from .fock import (
+    InitialStateSpec,
+    _kept_mode_levels,
+    build_initial_state,
+    check_int,
+    log_factorials,
+)
 from .kerr import kerr_evolve
 
 __all__ = ["output_at_time", "split_amplitudes"]
@@ -32,7 +49,7 @@ _LN2 = math.log(2.0)
 
 
 # An entropy curve or surface column uses two keys: (dim, dim) for its trim
-# and (dim, kept) for its blocks.
+# and (dim, kept) for its blocks; a loss curve uses (dim, dim).
 @functools.lru_cache(maxsize=2)
 def _splitter_gather(dim: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather index and weights of the splitter from input levels 0..dim-1
@@ -74,13 +91,29 @@ def split_amplitudes(amplitudes: np.ndarray, kept: int | None = None) -> np.ndar
     return phi
 
 
-def output_at_time(
-    initial: InitialStateSpec,
-    tau: float,
-    n_cut: int | None = None,
-    policy: CutoffPolicy = CutoffPolicy(),
-) -> np.ndarray:
+def _split_density(sigma: np.ndarray, n: int) -> np.ndarray:
+    """The split state rho[p, k, p', k'] = sigma[p+k, p'+k'] * w[p, k] * w[p', k']
+    of the (d, d) single-mode ``sigma`` at n levels per mode, without the
+    splitter's i^k (module docstring); real when ``sigma`` is."""
+    index, weights = _splitter_gather(len(sigma), len(sigma))
+    flat = index[:n, :n].ravel()
+    wf = np.abs(weights[:n, :n]).ravel()
+    rho = sigma[flat][:, flat]
+    rho *= wf[:, None]
+    rho *= wf
+    return rho.reshape((n,) * 4)
+
+
+def _kept_split_levels(populations: np.ndarray, tail: float) -> int:
+    """Kept levels of each output mode of the split of the photon-number
+    vector ``populations``: ``_kept_mode_levels`` of the split mass at
+    ``tail``, the larger of the two (module docstring)."""
+    index, weights = _splitter_gather(len(populations), len(populations))
+    w = np.abs(weights)
+    return max(_kept_mode_levels(populations[index] * w * w, tail))
+
+
+def output_at_time(initial: InitialStateSpec, tau: float, n_cut: int | None = None) -> np.ndarray:
     """Two-mode amplitude matrix after Kerr evolution for tau revival units
     followed by the 50/50 splitter with vacuum in the second port."""
-    amplitudes = build_initial_state(initial, n_cut=n_cut, policy=policy)
-    return split_amplitudes(kerr_evolve(amplitudes, tau))
+    return split_amplitudes(kerr_evolve(build_initial_state(initial, n_cut=n_cut), tau))

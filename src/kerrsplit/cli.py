@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sweep
-from .fock import InitialStateSpec, check_dim_cap
+from .fock import DEFAULT_DIM_CAP, CutoffPolicy, InitialStateSpec, _dim_lower_bound, check_dim_cap
 from .kerr import oracle_fidelity
 from .sweep import (
     ConfigError,
@@ -124,8 +124,7 @@ def _cmd_oracle_check(args) -> int:
     with config_errors("nu"):
         spec = InitialStateSpec(nu=args.nu)
     # a huge nu is refused from a lower bound on d, before its cutoff is built
-    config = ScenarioConfig()
-    check_dim_cap(sweep._dim_lower_bound(spec.nu, spec.m, config.cutoff), config.dim_cap,
+    check_dim_cap(_dim_lower_bound(spec.nu, spec.m, CutoffPolicy()), DEFAULT_DIM_CAP,
                   f"state (nu={spec.nu:g}, m={spec.m})")
     worst = 1.0
     failed = False

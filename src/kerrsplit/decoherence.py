@@ -28,26 +28,24 @@ sigma, then splits it.  Unequal rates factor exactly, as the modes' channels
 commute and each is a semigroup: the smaller rate acts on sigma, and the
 excess on the faster mode after the split.
 
-The split drops the splitter's i^k, a local phase on mode d that the
-phase-covariant channel and E_N ignore, leaving rho[p, k, p', k'] =
-sigma'[p+k, p'+k'] * w[p, k] * w[p', k'] with the symmetric weights
-w[p, k] = sqrt(C(p+k, p) / 2^(p+k)), read through the splitter's gather,
-whose entries with p + k >= d carry zero weight.  Each mode keeps the fewest leading
-levels whose marginal mass beyond them is below ``_EN_TAIL``, by the rule
-of the Fock cutoff, from mode c's marginal sum_k sigma'[p+k, p+k] * w[p, k]^2,
-which mode d shares; after an excess rate the diagonal of rho trims them
-again.  The error in E_N is O(sqrt(_EN_TAIL)) by the gentle-measurement lemma
-(Winter 1999), and up to about 2 * sqrt(_EN_TAIL) in practice: at a coherent
-input with tau = 0 and little loss, where the E_N of about 1e-8 is all the
-Fock cutoff's, a trim at 1e-20 lost 1.2e-10 of it.  So ``_EN_TAIL`` is
-1e-21, which keeps E_N within 1e-10 of the untrimmed one for one more kept
-level per mode.  It is apart from the entropy curves' ``fock._TAIL``
-(1e-16), whose error in the entropy grows as tail * log(1/tail), not as its
-square root.  At gamma*tau = 0, E_N is the closed form
+The split of the damped sigma', ``beamsplitter._split_density``, drops the
+splitter's i^k, a local phase on mode d that the phase-covariant channel
+and E_N ignore.  Each mode keeps the fewest leading levels whose marginal
+mass beyond them is below ``_EN_TAIL``, by the rule of the Fock cutoff,
+from the split of the diagonal of sigma' (``beamsplitter._kept_split_levels``);
+after an excess rate the diagonal of rho trims them again.  The error in
+E_N is O(sqrt(_EN_TAIL)) by the gentle-measurement lemma (Winter 1999), and
+up to about 2 * sqrt(_EN_TAIL) in practice: at a coherent input with
+tau = 0 and little loss, where the E_N of about 1e-8 is all the Fock
+cutoff's, a trim at 1e-20 lost 1.2e-10 of it.  So ``_EN_TAIL`` is 1e-21,
+which keeps E_N within 1e-10 of the untrimmed one for one more kept level
+per mode.  It is apart from the entropy curves' ``fock._TAIL`` (1e-16),
+whose error in the entropy grows as tail * log(1/tail), not as its square
+root.  At gamma*tau = 0, E_N is the closed form
 ``pure_state_log_negativity`` of the untrimmed split state.
 
-Both routes gather rho from sigma' with one function, ``_split_state``.  At
-equal rates rho is swap invariant, so its partial transpose X = A + iB is
+Both routes gather rho from sigma' with ``_split_density``.  At equal
+rates rho is swap invariant, so its partial transpose X = A + iB is
 real symmetric in a fixed basis (the orthogonal class of Dyson's threefold
 way, J. Math. Phys. 3, 1199 (1962)): the swap S of the modes gives
 S X S = conj(X), so V = (1 - iS)/sqrt(2) is unitary and V^dag X V = A + BS
@@ -63,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamsplitter import _splitter_gather, split_amplitudes
+from .beamsplitter import _kept_split_levels, _split_density, split_amplitudes
 from .entanglement import log_negativity, partial_transpose, pure_state_log_negativity
 from .fock import DEFAULT_DIM_CAP, _kept_mode_levels, check_dim_cap, check_real, log_factorials
 
@@ -114,19 +112,7 @@ def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
     return np.moveaxis(out, (-2, -1), axes)
 
 
-def _split_state(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """The split state rho[p, k, p', k'] = sigma[p+k, p'+k'] * w[p, k] * w[p', k']
-    at n levels per mode, read through the splitter's gather ``index`` and
-    weights ``w`` (module docstring); real when ``sigma`` is."""
-    flat = index[:n, :n].ravel()
-    wf = w[:n, :n].ravel()
-    rho = sigma[flat][:, flat]
-    rho *= wf[:, None]
-    rho *= wf
-    return rho.reshape((n,) * 4)
-
-
-def _split_real_form(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+def _split_real_form(sigma: np.ndarray, n: int) -> np.ndarray:
     """A real array whose partial transpose is V^dag X V, for X = A + iB the
     partial transpose of the split state rho of sigma' at n levels per mode,
     so ``log_negativity`` of it is log_negativity(rho).
@@ -140,8 +126,8 @@ def _split_real_form(sigma: np.ndarray, index: np.ndarray, w: np.ndarray, n: int
     partial transpose, so ``log_negativity`` copies nothing before eigvalsh
     does: one n^4 array is alive when it does.
     """
-    pt = partial_transpose(_split_state(sigma.real, index, w, n))
-    pt += _split_state(sigma.imag, index, w, n).transpose(2, 1, 3, 0)
+    pt = partial_transpose(_split_density(sigma.real, n))
+    pt += _split_density(sigma.imag, n).transpose(2, 1, 3, 0)
     return pt.swapaxes(0, 2)
 
 
@@ -177,8 +163,6 @@ def negativity_decay_curve(
             raise ValueError(f"gamma_tau must be >= 0, got {g}")
     if any(g > 0 for g in gamma_tau_values) and params.gamma1 <= 0:
         raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")
-    index, weights = _splitter_gather(d, d)
-    w = np.abs(weights)  # the splitter's i^k dropped
     sigma = np.outer(c, c.conj())
     slow, fast = sorted((params.gamma1, params.gamma2))
     curve = []
@@ -188,11 +172,11 @@ def negativity_decay_curve(
             continue
         tau = g / params.gamma1
         damped = _damp_mode(sigma, slow * tau, (0, 1))
-        n = max(_kept_mode_levels(damped.diagonal().real[index] * w * w, _EN_TAIL))
+        n = _kept_split_levels(damped.diagonal().real, _EN_TAIL)
         if fast == slow:
-            curve.append((g, log_negativity(_split_real_form(damped, index, w, n))))
+            curve.append((g, log_negativity(_split_real_form(damped, n))))
             continue
-        rho = _split_state(damped, index, w, n)
+        rho = _split_density(damped, n)
         faster = (0, 2) if params.gamma1 > params.gamma2 else (1, 3)
         rho = _damp_mode(rho, (fast - slow) * tau, faster)
         n1, n2 = _kept_mode_levels(np.einsum("abab->ab", rho).real, _EN_TAIL)

@@ -8,11 +8,14 @@ renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
 (the fewest leading levels that hold all but a tail of the weight), sets the
 cutoff and refuses a cutoff that would drop ``tail_tol`` of the state.
 One trim call, ``_kept_mode_levels``, applies that rule to each output
-mode's marginal of a two-mode photon-number mass: |phi|^2 once per curve for
-the Schmidt SVDs in ``sweep``, at ``_TAIL``, and the diagonal of each damped
-split state for the loss curves in ``decoherence``, at its own
-``_EN_TAIL``; each caller names its tail.  Factorials and binomials are in
-log space, from ``log_factorials``, so levels near n = 100 stay finite.
+mode's marginal of a two-mode photon-number mass.  Its callers are
+``beamsplitter._kept_split_levels``, which trims the split of a single-mode
+photon-number vector (once per curve for the Schmidt SVDs in ``sweep``, at
+``_TAIL``, and at each damped point of the loss curves in ``decoherence``,
+at its own ``_EN_TAIL``), and ``decoherence``, which trims a split state
+again after an excess loss rate on one mode; each caller names its tail.
+Factorials and binomials are in log space, from ``log_factorials``, so
+levels near n = 100 stay finite.
 
 ``_TAIL`` = 1e-16 is a tenth of ``entanglement._ENTROPY_FLOOR`` (1e-15),
 below which ``von_neumann_entropy`` already drops a Schmidt weight.  With
@@ -186,6 +189,14 @@ def choose_cutoff(nu: float, m: int, policy: CutoffPolicy = CutoffPolicy()) -> i
         raise ValueError("nu and m must be non-negative")
     w = _converged_weights(nu, m, policy.tail_tol)
     return m + _kept_levels(w, policy.tail_tol) - 1 + policy.safety_margin
+
+
+def _dim_lower_bound(nu: float, m: int, policy: CutoffPolicy) -> int:
+    """A lower bound on choose_cutoff(nu, m, policy) + 1 that allocates nothing:
+    below the Poisson median, which is at least nu - ln 2, the tail holds half
+    the mass or more, and photon addition only moves weight upward."""
+    past_median = max(0, math.ceil(nu - math.log(2.0))) if policy.tail_tol < 0.5 else 0
+    return m + policy.safety_margin + 1 + past_median
 
 
 def _coherent_amplitudes(gamma: complex, n_cut: int) -> np.ndarray:

@@ -106,15 +106,12 @@ def fractional_revival_superposition(alpha: complex, p: int, q: int) -> Coherent
     return CoherentSuperposition(coeff, alpha * np.exp(1j * angles))
 
 
-def reconstruct_fock(
-    superposition: CoherentSuperposition,
-    n_cut: int,
-    policy: CutoffPolicy = CutoffPolicy(),
-) -> np.ndarray:
+def reconstruct_fock(superposition: CoherentSuperposition, n_cut: int) -> np.ndarray:
     """Sum the coherent components into amplitudes over levels 0..n_cut,
     renormalized.
 
-    The dropped tail is measured against the exact squared norm, computed in
+    The dropped tail, refused above the default ``CutoffPolicy``'s
+    ``tail_tol``, is measured against the exact squared norm, computed in
     closed form from the pairwise coherent overlaps
     <g_i|g_j> = exp(-|g_i|^2/2 - |g_j|^2/2 + conj(g_i)*g_j).
     """
@@ -128,10 +125,11 @@ def reconstruct_fock(
     )
     exact_sq_norm = float(np.real(np.conj(coeff) @ overlaps @ coeff))
     retained = float(np.sum(np.abs(amps) ** 2))
-    if 1.0 - retained / exact_sq_norm > policy.tail_tol:
+    tail_tol = CutoffPolicy().tail_tol
+    if 1.0 - retained / exact_sq_norm > tail_tol:
         raise CutoffTooSmallError(
             f"n_cut={n_cut} drops tail {1.0 - retained / exact_sq_norm:.3e} "
-            f"> tail_tol {policy.tail_tol:.3e}"
+            f"> tail_tol {tail_tol:.3e}"
         )
     return amps / math.sqrt(retained)
 

@@ -16,8 +16,8 @@ per-mode trim are chosen once per curve (once per nu column of a surface),
 and the Kerr phases, the splitter and the Schmidt SVDs run on blocks of tau
 values at a time.  Kerr evolution is diagonal in photon number, so each
 output mode's marginal is the same at every tau and equal between the modes.
-The trim is ``fock._kept_mode_levels`` of |phi|^2 at tau = 0 at
-``fock._TAIL``, one full split of the input row, and ``split_amplitudes``
+The trim is ``beamsplitter._kept_split_levels`` of the input's |c|^2 at
+``fock._TAIL``, with no two-mode amplitude built, and ``split_amplitudes``
 then builds only the (kept, kept) block of each tau, so the SVDs run at the
 state's natural size (47 of 65 levels at nu = 20), and E moves by at most
 the bound in the ``fock`` docstring.
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 
-from .beamsplitter import split_amplitudes
+from .beamsplitter import _kept_split_levels, split_amplitudes
 from .decoherence import ChannelParams, negativity_decay_curve
 from .entanglement import entanglement_entropy
 from .fock import (
@@ -47,7 +47,7 @@ from .fock import (
     InfeasibleScenarioError,
     InitialStateSpec,
     _TAIL,
-    _kept_mode_levels,
+    _dim_lower_bound,
     build_initial_state,
     check_dim_cap,
     check_int,
@@ -287,13 +287,14 @@ def config_from_json(path) -> ScenarioConfig:
 def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
                     policy: CutoffPolicy) -> np.ndarray:
     """Entanglement entropy at every tau for one initial state, equal to
-    entanglement_entropy(output_at_time(spec, tau, n_cut, policy)) point by
-    point up to the dropped tail, with the state built once and the rest run
-    in bounded blocks on each output mode's kept levels."""
+    entanglement_entropy(output_at_time(spec, tau, n_cut)) point by point up
+    to the dropped tail, with the state built once and the rest run in
+    bounded blocks on each output mode's kept levels; ``policy`` only
+    checks the cutoff."""
     amplitudes = build_initial_state(spec, n_cut=n_cut, policy=policy)
-    # Kerr evolution leaves |phi|^2 as it is at tau = 0, and the splitter's
-    # exchange symmetry makes the modes' marginals equal: one size fits both
-    kept = max(_kept_mode_levels(np.abs(split_amplitudes(amplitudes)) ** 2, _TAIL))
+    # Kerr evolution leaves the photon numbers, and so each mode's kept
+    # levels, as they are at tau = 0
+    kept = _kept_split_levels(np.abs(amplitudes) ** 2, _TAIL)
     block = max(1, _BLOCK_BYTES // (16 * kept * kept))
     out = np.empty(len(taus))
     for start in range(0, len(taus), block):
@@ -331,14 +332,6 @@ def nearest_rational(tau: float, q_max: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # scenario runners
-
-def _dim_lower_bound(nu: float, m: int, policy: CutoffPolicy) -> int:
-    """A lower bound on choose_cutoff(nu, m, policy) + 1 that allocates nothing:
-    below the Poisson median, which is at least nu - ln 2, the tail holds half
-    the mass or more, and photon addition only moves weight upward."""
-    past_median = max(0, math.ceil(nu - math.log(2.0))) if policy.tail_tol < 0.5 else 0
-    return m + policy.safety_margin + 1 + past_median
-
 
 def _cutoff(config: ScenarioConfig, nu: float, m: int, mixed: bool = False) -> int:
     """Fock cutoff of one (nu, m) state, refused when its largest matrix (d x d,

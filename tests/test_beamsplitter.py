@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
-from kerrsplit.beamsplitter import output_at_time, split_amplitudes
+from kerrsplit.beamsplitter import _kept_split_levels, output_at_time, split_amplitudes
+from kerrsplit.decoherence import _EN_TAIL
 from kerrsplit.entanglement import entanglement_entropy
 from kerrsplit.fock import (
+    _TAIL,
     InitialStateSpec,
     _coherent_amplitudes,
+    _kept_mode_levels,
     build_initial_state,
     choose_cutoff,
 )
@@ -183,3 +186,14 @@ def test_trimmed_split_is_the_top_left_block_of_the_full_split(d, data):
 def test_kept_must_be_a_level_count_from_one_to_d(kept, error):
     with pytest.raises(error, match="kept"):
         split_amplitudes(np.ones(4), kept)
+
+
+@pytest.mark.parametrize("tail", [_TAIL, _EN_TAIL])
+def test_split_trim_equals_the_trim_of_the_full_split(tail):
+    """The trim from the input's photon numbers keeps as many levels as the
+    trim of the full split's |phi|^2, on every state of the grid."""
+    for nu in np.arange(81) * 0.5:
+        for m in range(7):
+            c = build_initial_state(InitialStateSpec(nu, m=m))
+            want = max(_kept_mode_levels(np.abs(split_amplitudes(c)) ** 2, tail))
+            assert _kept_split_levels(np.abs(c) ** 2, tail) == want, (nu, m)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import comb, gammaln
 
-from kerrsplit.beamsplitter import _splitter_gather, output_at_time, split_amplitudes
+from kerrsplit.beamsplitter import _split_density, output_at_time, split_amplitudes
 from kerrsplit.decoherence import (
     _EN_TAIL,
     ChannelParams,
     _damp_mode,
     _split_real_form,
-    _split_state,
     negativity_decay_curve,
 )
 from kerrsplit.entanglement import (
@@ -69,9 +68,14 @@ def kraus_damp(rho, tau, params=GAMMA):
 
 
 def damp_direct(rho, tau, params=GAMMA):
-    """Second oracle: the closed-form double p-sum of the module docstring,
-    evaluated literally per (p1, p2) block on rho of shape (d1, d2, d1, d2);
-    O(d1^3 d2^3), for small systems."""
+    """Second oracle: the closed-form double p-sum
+
+        rho'[m1, m2, n1, n2] = sum_{p1, p2} r1_p1[m1, n1] * r2_p2[m2, n2]
+                               * rho[m1+p1, m2+p2, n1+p1, n2+p2],
+        r_p[m, n] = sqrt(C(m+p, p) * C(n+p, p)) * (1 - exp(-2g))^p * exp(-g*(m+n)),
+
+    with g = gamma_j * tau for mode j, evaluated literally per (p1, p2) block
+    on rho of shape (d1, d2, d1, d2); O(d1^3 d2^3), for small systems."""
     rho = np.asarray(rho, dtype=complex)
     d1, d2 = rho.shape[:2]
     lgfact = gammaln(np.arange(max(d1, d2)) + 1.0)
@@ -420,12 +424,6 @@ def test_decay_curve_vanishes_for_strong_damping():
     assert en < 1e-3
 
 
-def split_real_form(sigma, n):
-    d = len(sigma)
-    index, weights = _splitter_gather(d, d)
-    return _split_real_form(sigma, index, np.abs(weights), n)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
 def test_split_real_eigensolve_equals_complex_eigensolve(d):
     """Random pure and mixed single-mode states, some of low enough rank that
@@ -434,7 +432,6 @@ def test_split_real_eigensolve_equals_complex_eigensolve(d):
     the spectrum of the split state's, reflection phase and all, and the
     shared gather is the split state without the splitter's i^k."""
     rng = np.random.default_rng(d)
-    index, weights = _splitter_gather(d, d)
     for rank in (1, 2, d):
         g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
         sigma = g @ g.conj().T
@@ -443,8 +440,8 @@ def test_split_real_eigensolve_equals_complex_eigensolve(d):
             rho = split_density(sigma)[:n, :n, :n, :n]
             i_k = 1j ** np.arange(n)  # the splitter's phase on mode d's level k
             no_phase = rho * i_k.conj()[:, None, None] * i_k
-            assert np.max(np.abs(_split_state(sigma, index, np.abs(weights), n) - no_phase)) < 1e-15
-            form = split_real_form(sigma, n)
+            assert np.max(np.abs(_split_density(sigma, n) - no_phase)) < 1e-15
+            form = _split_real_form(sigma, n)
             assert np.shares_memory(partial_transpose(form), form)  # no copy before eigvalsh
             real = partial_transpose(form).reshape(n * n, n * n)
             assert real.dtype == float
@@ -453,7 +450,7 @@ def test_split_real_eigensolve_equals_complex_eigensolve(d):
             assert np.max(np.abs(np.linalg.eigvalsh(real) - want)) < 1e-13
             assert abs(log_negativity(form) - log_negativity(rho)) < 1e-13
     sigma[0, 0] = np.nan
-    assert math.isnan(log_negativity(split_real_form(sigma, d)))
+    assert math.isnan(log_negativity(_split_real_form(sigma, d)))
 
 
 def test_equal_rates_on_a_non_symmetric_phi_need_the_complex_eigensolve():

@@ -16,7 +16,7 @@ from kerrsplit.entanglement import (
 )
 from kerrsplit.beamsplitter import output_at_time, split_amplitudes
 from kerrsplit.decoherence import ChannelParams, negativity_decay_curve
-from kerrsplit.fock import InitialStateSpec, build_initial_state, choose_cutoff
+from kerrsplit.fock import InitialStateSpec, _dim_lower_bound, build_initial_state, choose_cutoff
 from kerrsplit.kerr import kerr_evolve
 from kerrsplit.sweep import (
     _BLOCK_BYTES,
@@ -25,7 +25,6 @@ from kerrsplit.sweep import (
     GridSpec,
     InfeasibleScenarioError,
     ScenarioConfig,
-    _dim_lower_bound,
     _prominent_minima,
     config_from_dict,
     config_from_json,
@@ -485,9 +484,11 @@ def test_batched_curve_equals_pointwise_pipeline(nu, m, start, stop, length):
     columns = run_entropy_curve(small_config(initial=spec,
                                              time_grid=GridSpec(start, stop, steps))).columns
     assert len(columns["entropy_ebits"]) == steps
-    for tau, ent in zip(columns["tau"], columns["entropy_ebits"]):
-        assert ent == pytest.approx(entanglement_entropy(output_at_time(spec, tau)),
-                                    rel=0, abs=TRIM_BOUND)
+    # output_at_time at every tau, untrimmed and unblocked, in one stack
+    want = entanglement_entropy(split_amplitudes(kerr_evolve(build_initial_state(spec),
+                                                             np.array(columns["tau"]))))
+    for ent, ref in zip(columns["entropy_ebits"], want):
+        assert ent == pytest.approx(ref, rel=0, abs=TRIM_BOUND)
 
 
 @settings(max_examples=200, deadline=None)
@@ -569,8 +570,8 @@ def test_blocks_bound_the_amplitude_stack(monkeypatch):
     assert n < d
     trims = [shape for shape in shapes if len(shape) == 2]
     blocks = [shape for shape in shapes if len(shape) == 3]
-    assert trims == [(d, d)]
-    assert sum(shape[0] for shape in blocks) == 50  # one split per tau, one per curve for the trim
+    assert trims == []  # the trim builds no two-mode amplitude
+    assert sum(shape[0] for shape in blocks) == 50  # one split per tau
     assert all(shape[1:] == (n, n) for shape in blocks)
     assert max(shape[0] for shape in blocks) * 16 * n * n <= _BLOCK_BYTES
 
