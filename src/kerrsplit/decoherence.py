@@ -143,9 +143,11 @@ def negativity_decay_curve(
     The abscissa is gamma1 * tau (the paper-style axis; with equal couplings
     it is the common gamma*tau).  ``amplitudes`` must be a finite 1-D array
     with a finite, nonzero norm, and are normalised first, so the curve of
-    any multiple of c is that of c.  The dimension check, on the untrimmed d^2
-    of the two-mode state, runs before any work so infeasible inputs fail
-    fast.
+    any multiple of c is that of c.  The dimension check, d^2 <= ``dim_cap``,
+    runs before any work so infeasible inputs fail fast.  No d^2-sided
+    matrix is built: the largest are the d x d sigma and the n^2 x n^2
+    partial transpose, n <= d the kept levels per mode, so the check bounds
+    n^2 from above.
     """
     c = np.asarray(amplitudes, dtype=complex)
     if c.ndim != 1 or not np.isfinite(c).all():

@@ -5,8 +5,9 @@ everything downstream (Kerr evolution, beam splitting, phase-space maps)
 operates on the arrays built here.  One builder,
 ``build_initial_state``, makes every input, coherent or photon-added, and
 renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
-(the fewest leading levels that hold all but a tail of the weight), sets the
-cutoff and refuses a cutoff that would drop ``tail_tol`` of the state.
+(the fewest leading levels that hold all but a tail of the weight), runs
+once per state built: it either chooses the cutoff, when none is given, or
+refuses a given cutoff that would drop ``tail_tol`` of the state.
 One trim call, ``_kept_mode_levels``, applies that rule to each output
 mode's marginal of a two-mode photon-number mass.  Its callers are
 ``beamsplitter._kept_split_levels``, which trims the split of a single-mode
@@ -222,14 +223,14 @@ def build_initial_state(
 
     The unnormalized amplitude at level n+m is
     exp(-nu/2) * alpha^n * sqrt((n+m)!) / n!, zero below level m; at nu = 0
-    the state is |m>.  The cutoff is chosen when not given.  Raises
-    CutoffTooSmallError when levels 0..n_cut drop ``tail_tol`` or more of
-    the occupation weight, which includes n_cut < m.
+    the state is |m>.  The cutoff is chosen when not given; a given one
+    raises CutoffTooSmallError when levels 0..n_cut drop ``tail_tol`` or
+    more of the occupation weight, which includes n_cut < m.
     """
     nu, m = spec.nu, spec.m
     if n_cut is None:
         n_cut = choose_cutoff(nu, m, policy)
-    if _kept_levels(_converged_weights(nu, m, policy.tail_tol), policy.tail_tol) > n_cut - m + 1:
+    elif _kept_levels(_converged_weights(nu, m, policy.tail_tol), policy.tail_tol) > n_cut - m + 1:
         raise CutoffTooSmallError(
             f"n_cut={n_cut} drops tail_tol {policy.tail_tol:.3e} or more of the state "
             f"for nu={nu}, m={m}"

@@ -11,11 +11,15 @@ Scenarios are plain JSON documents.  Every pipeline stage is deterministic
 (there is no randomness anywhere), so identical configs produce byte-identical
 CSV files.
 
-Pure-state curves run as batches: the cutoff, the initial state and the
-per-mode trim are chosen once per curve (once per nu column of a surface),
-and the Kerr phases, the splitter and the Schmidt SVDs run on blocks of tau
-values at a time.  Kerr evolution is diagonal in photon number, so each
-output mode's marginal is the same at every tau and equal between the modes.
+Every runner takes its input states from one step, ``_input_state``,
+which checks the state's size against ``dim_cap``, builds its amplitudes
+once at the cutoff ``config.cutoff`` chooses, and hands them down; n_cut is
+their length less one.  A runner builds all its states before any heavy
+work.  Pure-state curves run as batches: the per-mode trim is chosen once
+per curve (once per nu column of a surface), and the Kerr phases, the
+splitter and the Schmidt SVDs run on blocks of tau values at a time.  Kerr
+evolution is diagonal in photon number, so each output mode's marginal is
+the same at every tau and equal between the modes.
 The trim is ``beamsplitter._kept_split_levels`` of the input's |c|^2 at
 ``fock._TAIL``, with no two-mode amplitude built, and ``split_amplitudes``
 then builds only the (kept, kept) block of each tau, so the SVDs run at the
@@ -52,7 +56,6 @@ from .fock import (
     check_dim_cap,
     check_int,
     check_real,
-    choose_cutoff,
 )
 from .husimi import (
     count_peaks,
@@ -170,22 +173,21 @@ class HusimiSection:
 
 
 @dataclass(frozen=True)
-class ChannelSection:
-    """Loss-channel part of a scenario: rates, the gamma*tau axis, the revival
+class ChannelSection(ChannelParams):
+    """Loss-channel part of a scenario: the rates gamma1 and gamma2, with
+    their check, from ``ChannelParams``, then the gamma*tau axis, the revival
     fraction feeding the splitter, and which photon-addition numbers to scan
     (``gamma_tau_grid`` may also be a dict of GridSpec fields)."""
 
-    gamma1: float = 0.1
-    gamma2: float = 0.1
     gamma_tau_grid: GridSpec | None = GridSpec(0.0, 1.0, 51)
     gamma_tau: float = 0.3
     tau: float = 0.5
     m_values: tuple = ()
 
     def __post_init__(self):
-        for name in ("gamma1", "gamma2", "gamma_tau"):
-            if check_real(name, getattr(self, name)) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        super().__post_init__()
+        if check_real("gamma_tau", self.gamma_tau) < 0:
+            raise ValueError(f"gamma_tau must be >= 0, got {self.gamma_tau!r}")
         check_real("tau", self.tau)
         if isinstance(self.gamma_tau_grid, dict):
             with config_errors("gamma_tau_grid"):
@@ -284,14 +286,11 @@ def config_from_json(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # batched pure-state pipeline
 
-def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
-                    policy: CutoffPolicy) -> np.ndarray:
-    """Entanglement entropy at every tau for one initial state, equal to
-    entanglement_entropy(output_at_time(spec, tau, n_cut)) point by point up
-    to the dropped tail, with the state built once and the rest run in
-    bounded blocks on each output mode's kept levels; ``policy`` only
-    checks the cutoff."""
-    amplitudes = build_initial_state(spec, n_cut=n_cut, policy=policy)
+def _entropy_column(amplitudes: np.ndarray, taus: np.ndarray, label: str) -> np.ndarray:
+    """Entanglement entropy at every tau for the input ``amplitudes``, equal
+    to entanglement_entropy(split_amplitudes(kerr_evolve(amplitudes, tau)))
+    point by point up to the dropped tail, run in bounded blocks on each
+    output mode's kept levels; ``label`` names the state in errors."""
     # Kerr evolution leaves the photon numbers, and so each mode's kept
     # levels, as they are at tau = 0
     kept = _kept_split_levels(np.abs(amplitudes) ** 2, _TAIL)
@@ -299,9 +298,9 @@ def _entropy_column(spec: InitialStateSpec, taus: np.ndarray, n_cut: int,
     out = np.empty(len(taus))
     for start in range(0, len(taus), block):
         rows = kerr_evolve(amplitudes, taus[start:start + block])
-        _check_finite(rows, f"state of (nu={spec.nu:g}, m={spec.m})")  # a huge tau or theta
+        _check_finite(rows, f"state of {label}")  # a huge tau or theta
         out[start:start + block] = entanglement_entropy(split_amplitudes(rows, kept))
-    _check_finite(out, f"entropy of (nu={spec.nu:g}, m={spec.m})")
+    _check_finite(out, f"entropy of {label}")
     return out
 
 
@@ -333,17 +332,27 @@ def nearest_rational(tau: float, q_max: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # scenario runners
 
-def _cutoff(config: ScenarioConfig, nu: float, m: int, mixed: bool = False) -> int:
-    """Fock cutoff of one (nu, m) state, refused when its largest matrix (d x d,
-    or d^2 x d^2 when ``mixed``) would exceed ``config.dim_cap``; a lower bound
-    on d is checked before the cutoff's weight arrays are built."""
-    what = f"state (nu={nu:g}, m={m})"
-    low = _dim_lower_bound(nu, m, config.cutoff)
+def _label(spec: InitialStateSpec) -> str:
+    """The text that names one input state in errors."""
+    return f"(nu={spec.nu:g}, m={spec.m})"
+
+
+def _input_state(config: ScenarioConfig, spec: InitialStateSpec,
+                 mixed: bool = False) -> np.ndarray:
+    """The read-only amplitudes of ``spec`` over levels 0..n_cut, at the
+    cutoff ``config.cutoff`` chooses, refused when d = n_cut + 1 (or d^2 when
+    ``mixed``) exceeds ``config.dim_cap``.  On the pure paths d is the side
+    of the splitter output.  On the loss path, which builds the d x d
+    single-mode density matrix and partial transposes of side n^2, n <= d
+    the kept levels per mode, d^2 bounds n^2 from above.  A lower bound on d
+    is checked before the cutoff's weight arrays are built."""
+    what = f"state {_label(spec)}"
+    low = _dim_lower_bound(spec.nu, spec.m, config.cutoff)
     check_dim_cap(low * low if mixed else low, config.dim_cap, what)
-    n_cut = choose_cutoff(nu, m, config.cutoff)
-    d = n_cut + 1
+    amplitudes = build_initial_state(spec, policy=config.cutoff)
+    d = len(amplitudes)
     check_dim_cap(d * d if mixed else d, config.dim_cap, what)
-    return n_cut
+    return amplitudes
 
 
 def run_entropy_curve(config: ScenarioConfig) -> Table:
@@ -352,9 +361,9 @@ def run_entropy_curve(config: ScenarioConfig) -> Table:
     holds E_max and the minima, each compared against the log2(q) value a
     maximally entangled q-dimensional state would give."""
     init = config.initial
-    n_cut = _cutoff(config, init.nu, init.m)
+    amplitudes = _input_state(config, init)
     grid = config.time_grid.values()
-    column = _entropy_column(init, grid, n_cut, config.cutoff)
+    column = _entropy_column(amplitudes, grid, _label(init))
     taus, entropies = grid.tolist(), column.tolist()
     local_min, revival_p, revival_q = [0] * len(taus), [None] * len(taus), [None] * len(taus)
     minima = []
@@ -368,7 +377,8 @@ def run_entropy_curve(config: ScenarioConfig) -> Table:
                "revival_p": revival_p, "revival_q": revival_q}
     summary = {"name": config.name, "nu": init.nu, "m": init.m, "theta": init.theta,
                "e_max": max(entropies), "n_minima": len(minima), "minima": minima}
-    return Table("entropy-curve", _scenario_header(config, n_cut), columns, summary)
+    return Table("entropy-curve", _scenario_header(config, len(amplitudes) - 1), columns,
+                 summary)
 
 
 def run_entropy_surface(config: ScenarioConfig) -> Table:
@@ -378,11 +388,11 @@ def run_entropy_surface(config: ScenarioConfig) -> Table:
     init = config.initial
     taus = config.time_grid.values()
     nus = config.nu_grid.values().tolist()
-    n_cuts = [_cutoff(config, nu, init.m) for nu in nus]
-    grid = np.column_stack([
-        _entropy_column(replace(init, nu=nu), taus, n_cut, config.cutoff)
-        for nu, n_cut in zip(nus, n_cuts)
-    ])
+    specs = [replace(init, nu=nu) for nu in nus]
+    states = [_input_state(config, spec) for spec in specs]
+    n_cuts = [len(amplitudes) - 1 for amplitudes in states]
+    grid = np.column_stack([_entropy_column(amplitudes, taus, _label(spec))
+                            for spec, amplitudes in zip(specs, states)])
     entropies = grid.ravel().tolist()
     columns = {"tau": np.repeat(taus, len(nus)).tolist(), "entropy_ebits": entropies,
                "nu": nus * len(taus), "n_cut": n_cuts * len(taus)}
@@ -414,17 +424,18 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     longest = max(gamma_taus) / chan.gamma1  # the damping time of the largest gamma_tau
     if not (math.isfinite(longest) and math.isfinite(chan.gamma2 * longest)):
         raise ConfigError("channel: gamma_tau/gamma1 or gamma2*gamma_tau/gamma1 is not finite")
-    states = [(nu, m, _cutoff(config, nu, m, mixed=True)) for m in m_values for nu in nus]
-    params = ChannelParams(gamma1=chan.gamma1, gamma2=chan.gamma2)
+    specs = [replace(init, nu=nu, m=m) for m in m_values for nu in nus]
+    states = [_input_state(config, spec, mixed=True) for spec in specs]
 
     rows = []
-    for nu, m, n_cut in states:
-        spec = replace(init, nu=nu, m=m)
-        state = kerr_evolve(build_initial_state(spec, n_cut=n_cut, policy=config.cutoff), chan.tau)
-        _check_finite(state, f"state of (nu={nu:g}, m={m})")  # a huge tau or theta overflows
-        curve = negativity_decay_curve(state, gamma_taus, params, config.dim_cap)
-        _check_finite([en for _, en in curve], f"log negativity of (nu={nu:g}, m={m})")
-        rows.extend((g if by_gamma_tau else nu, float(en), m, n_cut) for g, en in curve)
+    for spec, amplitudes in zip(specs, states):
+        state = kerr_evolve(amplitudes, chan.tau)
+        _check_finite(state, f"state of {_label(spec)}")  # a huge tau or theta overflows
+        curve = negativity_decay_curve(state, gamma_taus, chan, config.dim_cap)
+        _check_finite([en for _, en in curve], f"log negativity of {_label(spec)}")
+        n_cut = len(amplitudes) - 1
+        rows.extend((g if by_gamma_tau else spec.nu, float(en), spec.m, n_cut)
+                    for g, en in curve)
     abscissa, values, ms, n_cuts = map(list, zip(*rows))
     size = len(values) // len(m_values)  # the points of one m, in row order
     by_m = {m: values[k * size:(k + 1) * size] for k, m in enumerate(m_values)}
@@ -447,8 +458,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
     check_dim_cap(section.resolution, config.dim_cap, "Husimi grid")
 
     init = config.initial
-    n_cut = _cutoff(config, init.nu, init.m)
-    amplitudes = build_initial_state(init, n_cut=n_cut, policy=config.cutoff)
+    amplitudes = _input_state(config, init)
 
     entries = []
     with _staged(Path(out_dir)) as stage:
@@ -476,7 +486,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
             "nu": init.nu,
             "m": init.m,
             "theta": init.theta,
-            "n_cut": n_cut,
+            "n_cut": len(amplitudes) - 1,
             "resolution": section.resolution,
             "rel_threshold": section.rel_threshold,
             "n_max_estimate": n_max_estimate(math.sqrt(init.nu)),

@@ -537,13 +537,37 @@ def test_cutoff_runs_once_per_curve_and_per_nu_column(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fock, "choose_cutoff", counting)
-    monkeypatch.setattr(sweep, "choose_cutoff", counting)
     run_entropy_curve(small_config(time_grid=GridSpec(0.0, 1.0, 300)))
     assert len(calls) == 1
     calls.clear()
     run_entropy_surface(small_config(time_grid=GridSpec(0.0, 1.0, 50),
                                      nu_grid=GridSpec(1.0, 4.0, 4)))
     assert len(calls) == 4
+
+
+def test_tail_rule_runs_once_per_state(monkeypatch, tmp_path):
+    calls = []
+    real = fock._converged_weights
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def passes(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    monkeypatch.setattr(fock, "_converged_weights", counting)
+    assert passes(lambda: run_entropy_curve(small_config(time_grid=GridSpec(0.0, 1.0, 50)))) == 1
+    assert passes(lambda: run_entropy_surface(small_config(
+        time_grid=GridSpec(0.0, 1.0, 20), nu_grid=GridSpec(1.0, 4.0, 4)))) == 4
+    scan = small_config(nu_grid=GridSpec(0.5, 1.0, 2), channel=ChannelSection(
+        gamma_tau_grid=None, gamma_tau=0.3, m_values=(0, 1, 2)))
+    assert passes(lambda: run_decoherence_scan(scan)) == 6
+    assert passes(lambda: run_husimi(small_config(
+        husimi=sweep.HusimiSection(taus=(0.25, 0.5), resolution=11)), tmp_path)) == 1
+    assert passes(lambda: build_initial_state(InitialStateSpec(nu=5.0, m=1))) == 1
 
 
 @settings(max_examples=300, deadline=None)
