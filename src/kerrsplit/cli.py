@@ -125,7 +125,7 @@ def _cmd_oracle_check(args) -> int:
         spec = InitialStateSpec(nu=args.nu)
     # a huge nu is refused from a lower bound on d, before its cutoff is built
     check_dim_cap(_dim_lower_bound(spec.nu, spec.m, CutoffPolicy()), DEFAULT_DIM_CAP,
-                  f"state (nu={spec.nu:g}, m={spec.m})")
+                  f"state {sweep._label(spec)}")
     worst = 1.0
     failed = False
     for p, q in ORACLE_PAIRS:

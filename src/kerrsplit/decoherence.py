@@ -44,6 +44,13 @@ whose error in the entropy grows as tail * log(1/tail), not as its square
 root.  At gamma*tau = 0, E_N is the closed form
 ``pure_state_log_negativity`` of the untrimmed split state.
 
+The loss path's two input rules live here, and ``sweep`` calls them rather
+than keeping copies.  ``ChannelParams._damping_times`` owns gamma*tau: each
+value must be a finite number >= 0, a value above 0 needs gamma1 > 0, and
+both damping exponents, at most max(gamma1, gamma2) * gamma*tau / gamma1,
+must be finite; it returns each point's tau.  ``_check_loss_cap`` owns the
+cap: d^2 <= ``dim_cap`` for the d input levels.
+
 Both routes gather rho from sigma' with ``_split_density``.  At equal
 rates rho is swap invariant, so its partial transpose X = A + iB is
 real symmetric in a fixed basis (the orthogonal class of Dyson's threefold
@@ -84,6 +91,34 @@ class ChannelParams:
         for name in ("gamma1", "gamma2"):
             if check_real(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
+    def _damping_times(self, gamma_tau_values) -> list[tuple[float, float]]:
+        """(gamma*tau, tau = gamma*tau / gamma1) for each value.  A ValueError
+        names the quantity when a value is not a finite number >= 0, is above
+        0 while gamma1 = 0, or makes max(gamma1, gamma2) * tau overflow."""
+        times = []
+        for g in gamma_tau_values:
+            g = float(check_real("gamma_tau", g))
+            if g < 0:
+                raise ValueError(f"gamma_tau must be >= 0, got {g}")
+            if g > 0 and self.gamma1 <= 0:
+                raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")
+            tau = g / float(self.gamma1) if g else 0.0  # Python floats overflow silently
+            if not math.isfinite(float(max(self.gamma1, self.gamma2)) * tau):
+                raise ValueError(f"max(gamma1, gamma2) * gamma_tau / gamma1 must be finite, "
+                                 f"got gamma_tau={g} with gamma1={self.gamma1!r}, "
+                                 f"gamma2={self.gamma2!r}")
+            times.append((g, tau))
+        return times
+
+
+def _check_loss_cap(amplitudes: np.ndarray, dim_cap: int, what: str) -> None:
+    """The loss path's cap: refuse d^2 > ``dim_cap`` for the d input
+    ``amplitudes``.  The path builds the d x d single-mode density matrix and
+    partial transposes of side n^2, n <= d the kept levels per mode, so d^2
+    bounds n^2 from above."""
+    d = len(amplitudes)
+    check_dim_cap(d * d, dim_cap, what)
 
 
 def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
@@ -143,11 +178,10 @@ def negativity_decay_curve(
     The abscissa is gamma1 * tau (the paper-style axis; with equal couplings
     it is the common gamma*tau).  ``amplitudes`` must be a finite 1-D array
     with a finite, nonzero norm, and are normalised first, so the curve of
-    any multiple of c is that of c.  The dimension check, d^2 <= ``dim_cap``,
-    runs before any work so infeasible inputs fail fast.  No d^2-sided
-    matrix is built: the largest are the d x d sigma and the n^2 x n^2
-    partial transpose, n <= d the kept levels per mode, so the check bounds
-    n^2 from above.
+    any multiple of c is that of c.  Both input rules of the module
+    docstring run before any work, so infeasible inputs fail fast: the cap,
+    ``_check_loss_cap``, and the gamma*tau rule,
+    ``ChannelParams._damping_times``, whose tau each damped point uses.
     """
     c = np.asarray(amplitudes, dtype=complex)
     if c.ndim != 1 or not np.isfinite(c).all():
@@ -157,22 +191,15 @@ def negativity_decay_curve(
     if not 0.0 < norm < math.inf:
         raise ValueError("amplitudes must have a finite, nonzero norm")
     c = c / math.sqrt(norm)
-    d = len(c)
-    check_dim_cap(d * d, dim_cap, "two-mode density matrix")
-    gamma_tau_values = [float(check_real("gamma_tau", g)) for g in gamma_tau_values]
-    for g in gamma_tau_values:
-        if g < 0:
-            raise ValueError(f"gamma_tau must be >= 0, got {g}")
-    if any(g > 0 for g in gamma_tau_values) and params.gamma1 <= 0:
-        raise ValueError("gamma1 must be > 0 to reach gamma_tau > 0")
+    _check_loss_cap(c, dim_cap, "two-mode density matrix")
+    times = params._damping_times(gamma_tau_values)
     sigma = np.outer(c, c.conj())
     slow, fast = sorted((params.gamma1, params.gamma2))
     curve = []
-    for g in gamma_tau_values:
+    for g, tau in times:
         if g == 0.0:
             curve.append((g, pure_state_log_negativity(split_amplitudes(c))))
             continue
-        tau = g / params.gamma1
         damped = _damp_mode(sigma, slow * tau, (0, 1))
         n = _kept_split_levels(damped.diagonal().real, _EN_TAIL)
         if fast == slow:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import check_real, log_factorials
+from .fock import check_int, check_real, log_factorials
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -79,8 +79,7 @@ def husimi_q(
 ) -> PhaseSpaceGrid:
     """Evaluate Q of the state with these Fock amplitudes on a square window
     of the given half-width (default sized from its mean photon number)."""
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
+    check_int("resolution", resolution, 2)
     if half_width is None:
         probs = np.abs(amplitudes) ** 2
         half_width = default_half_width(float(np.dot(np.arange(len(probs)), probs)))

@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 
 from .beamsplitter import _kept_split_levels, split_amplitudes
-from .decoherence import ChannelParams, negativity_decay_curve
+from .decoherence import ChannelParams, _check_loss_cap, negativity_decay_curve
 from .entanglement import entanglement_entropy
 from .fock import (
     DEFAULT_DIM_CAP,
@@ -177,7 +177,9 @@ class ChannelSection(ChannelParams):
     """Loss-channel part of a scenario: the rates gamma1 and gamma2, with
     their check, from ``ChannelParams``, then the gamma*tau axis, the revival
     fraction feeding the splitter, and which photon-addition numbers to scan
-    (``gamma_tau_grid`` may also be a dict of GridSpec fields)."""
+    (``gamma_tau_grid`` may also be a dict of GridSpec fields).  The rates'
+    gamma*tau rule, ``ChannelParams._damping_times``, runs on ``gamma_tau``
+    and on the grid's ends when the section is built."""
 
     gamma_tau_grid: GridSpec | None = GridSpec(0.0, 1.0, 51)
     gamma_tau: float = 0.3
@@ -186,14 +188,14 @@ class ChannelSection(ChannelParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if check_real("gamma_tau", self.gamma_tau) < 0:
-            raise ValueError(f"gamma_tau must be >= 0, got {self.gamma_tau!r}")
         check_real("tau", self.tau)
         if isinstance(self.gamma_tau_grid, dict):
             with config_errors("gamma_tau_grid"):
                 object.__setattr__(self, "gamma_tau_grid", GridSpec(**self.gamma_tau_grid))
         _check_type("gamma_tau_grid", self.gamma_tau_grid, GridSpec, optional=True)
         _check_non_negative_ends("gamma_tau_grid", self.gamma_tau_grid)
+        grid = self.gamma_tau_grid
+        self._damping_times([self.gamma_tau, *((grid.start, grid.stop) if grid else ())])
         object.__setattr__(self, "m_values", _as_tuple("m_values", self.m_values))
         for m in self.m_values:
             check_int("m_values", m, 0)
@@ -337,21 +339,17 @@ def _label(spec: InitialStateSpec) -> str:
     return f"(nu={spec.nu:g}, m={spec.m})"
 
 
-def _input_state(config: ScenarioConfig, spec: InitialStateSpec,
-                 mixed: bool = False) -> np.ndarray:
+def _input_state(config: ScenarioConfig, spec: InitialStateSpec) -> np.ndarray:
     """The read-only amplitudes of ``spec`` over levels 0..n_cut, at the
-    cutoff ``config.cutoff`` chooses, refused when d = n_cut + 1 (or d^2 when
-    ``mixed``) exceeds ``config.dim_cap``.  On the pure paths d is the side
-    of the splitter output.  On the loss path, which builds the d x d
-    single-mode density matrix and partial transposes of side n^2, n <= d
-    the kept levels per mode, d^2 bounds n^2 from above.  A lower bound on d
-    is checked before the cutoff's weight arrays are built."""
+    cutoff ``config.cutoff`` chooses, refused when d = n_cut + 1 exceeds
+    ``config.dim_cap``: on the pure paths d is the side of the splitter
+    output.  A lower bound on d is checked before the cutoff's weight arrays
+    are built.  The loss path's own cap on d^2 belongs to ``decoherence``,
+    and the scan applies it to the amplitudes returned here."""
     what = f"state {_label(spec)}"
-    low = _dim_lower_bound(spec.nu, spec.m, config.cutoff)
-    check_dim_cap(low * low if mixed else low, config.dim_cap, what)
+    check_dim_cap(_dim_lower_bound(spec.nu, spec.m, config.cutoff), config.dim_cap, what)
     amplitudes = build_initial_state(spec, policy=config.cutoff)
-    d = len(amplitudes)
-    check_dim_cap(d * d if mixed else d, config.dim_cap, what)
+    check_dim_cap(len(amplitudes), config.dim_cap, what)
     return amplitudes
 
 
@@ -406,12 +404,13 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     ChannelSection()).
 
     With a gamma_tau grid: one E_N(gamma*tau) curve per configured m.  With a
-    nu grid and a fixed gamma_tau: E_N(nu) per configured m.  Dimension-cap
-    violations fail before any heavy work, naming the offending (nu, m).
+    nu grid and a fixed gamma_tau: E_N(nu) per configured m.  The section's
+    rates were checked against its gamma*tau values when it was built.  All
+    states are built, and each is held to the loss path's cap
+    (``decoherence._check_loss_cap``), before any curve runs, so a
+    violation fails before any heavy work, naming the offending (nu, m).
     """
     chan = ChannelSection() if config.channel is None else config.channel
-    if chan.gamma1 <= 0:
-        raise ConfigError("channel.gamma1: must be > 0 for a decoherence scan")
     init = config.initial
     m_values = chan.m_values if chan.m_values else (init.m,)
     by_gamma_tau = chan.gamma_tau_grid is not None
@@ -421,11 +420,10 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
         nus, gamma_taus = config.nu_grid.values().tolist(), [chan.gamma_tau]
     else:
         raise ConfigError("channel: need gamma_tau_grid, or nu_grid plus a fixed gamma_tau")
-    longest = max(gamma_taus) / chan.gamma1  # the damping time of the largest gamma_tau
-    if not (math.isfinite(longest) and math.isfinite(chan.gamma2 * longest)):
-        raise ConfigError("channel: gamma_tau/gamma1 or gamma2*gamma_tau/gamma1 is not finite")
     specs = [replace(init, nu=nu, m=m) for m in m_values for nu in nus]
-    states = [_input_state(config, spec, mixed=True) for spec in specs]
+    states = [_input_state(config, spec) for spec in specs]
+    for spec, amplitudes in zip(specs, states):
+        _check_loss_cap(amplitudes, config.dim_cap, f"state {_label(spec)}")
 
     rows = []
     for spec, amplitudes in zip(specs, states):

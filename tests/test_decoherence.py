@@ -325,6 +325,12 @@ def test_damp_input_validation():
     for gamma_tau in (-0.5, -1e-300, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma_tau"):
             negativity_decay_curve(amplitudes, [0.0, gamma_tau])
+    # rates whose damping exponents overflow at gamma*tau = 1 (they once gave
+    # NaN), also as numpy scalars, whose overflow would warn
+    for rates in ((1e-320, 1e-320), (1e-300, 1e10)):
+        for kind in (float, np.float64):
+            with pytest.raises(ValueError, match="gamma"):
+                negativity_decay_curve(amplitudes, [0.0, 1.0], ChannelParams(*map(kind, rates)))
 
 
 @pytest.mark.parametrize(
@@ -526,6 +532,29 @@ def test_real_eigensolve_equals_complex_eigensolve_on_the_same_trimmed_state(
     rho = damp(pure_to_density(split_amplitudes(state)), gamma_tau / gamma, params)
     n = max(_kept_mode_levels(np.einsum("abab->ab", rho).real, _EN_TAIL))
     assert abs(got - log_negativity(rho[:n, :n, :n, :n])) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nu=st.floats(0.0, 3.0),
+    m=st.integers(0, 3),
+    tau=st.floats(0.0, 1.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    gamma2=st.sampled_from([0.1, 0.3]),
+)
+def test_log_negativity_does_not_depend_on_theta(nu, m, tau, theta, gamma2):
+    """theta turns each Fock amplitude c_n by exp(i n theta), which the
+    splitter carries to a product of local phases on its two outputs, and
+    loss is phase covariant: E_N at theta equals E_N at 0 up to roundoff,
+    at equal and at unequal rates."""
+    params = ChannelParams(gamma1=0.1, gamma2=gamma2)
+    gamma_taus = [0.0, 0.2, 1.0]
+
+    def curve(angle):
+        c = kerr_evolve(build_initial_state(InitialStateSpec(nu=nu, m=m, theta=angle)), tau)
+        return [en for _, en in negativity_decay_curve(c, gamma_taus, params)]
+
+    assert np.max(np.abs(np.subtract(curve(theta), curve(0.0)))) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)

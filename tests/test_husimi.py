@@ -328,6 +328,9 @@ def test_every_command_runs_without_scipy(tmp_path):
 def test_husimi_validation():
     with pytest.raises(ValueError):
         husimi_q(vacuum(3), resolution=1)
+    for resolution in (2.5, np.float64(3.0)):  # not integers, though one is integral
+        with pytest.raises(TypeError, match="resolution"):
+            husimi_q(vacuum(3), resolution=resolution)
 
 
 @pytest.mark.parametrize("half_width", [0.0, -3.0, math.nan, math.inf])

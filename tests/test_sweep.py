@@ -95,6 +95,8 @@ def test_config_from_dict_roundtrip():
         ({"channel": [1]}, "channel"),
         ({"channel": {"gamma1": -0.1}}, "gamma1"),
         ({"channel": {"gamma2": -0.1}}, "gamma2"),
+        ({"channel": {"gamma1": 0.0}}, "gamma1"),
+        ({"channel": {"gamma1": 1e-300, "gamma2": 1e10}}, "gamma"),
         ({"channel": {"gamma_tau": -0.3}}, "gamma_tau"),
         ({"channel": {"tau": float("nan")}}, "tau"),
         ({"channel": {"gamma_tau_grid": {"start": 0, "stop": 1, "steps": 0}}}, "gamma_tau_grid"),
