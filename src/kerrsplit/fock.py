@@ -8,6 +8,10 @@ renormalizes it over the truncated basis.  One tail rule, ``_kept_levels``
 (the fewest leading levels that hold all but a tail of the weight), runs
 once per state built: it either chooses the cutoff, when none is given, or
 refuses a given cutoff that would drop ``tail_tol`` of the state.
+The builder and ``choose_cutoff`` also own the size rule, d = n_cut + 1 <=
+``dim_cap``: ``_dim_lower_bound``, which allocates nothing, is checked
+before the tail rule builds its weight array, and the built d after it, so
+a huge ``nu`` or ``n_cut`` is refused at once and no caller keeps a copy.
 One trim call, ``_kept_mode_levels``, applies that rule to each output
 mode's marginal of a two-mode photon-number mass.  Its callers are
 ``beamsplitter._kept_split_levels``, which trims the split of a single-mode
@@ -179,17 +183,28 @@ def _kept_mode_levels(mass: np.ndarray, tail: float) -> tuple[int, int]:
     return _kept_levels(mass.sum(axis=1), tail), _kept_levels(mass.sum(axis=0), tail)
 
 
-def choose_cutoff(nu: float, m: int, policy: CutoffPolicy = CutoffPolicy()) -> int:
+def choose_cutoff(
+    nu: float,
+    m: int,
+    policy: CutoffPolicy = CutoffPolicy(),
+    dim_cap: int = DEFAULT_DIM_CAP,
+) -> int:
     """Smallest Fock level holding all but ``tail_tol`` of the initial state,
     plus the policy's safety margin.
 
     Kerr evolution is diagonal in photon number, so the cutoff chosen for the
-    initial state is valid for the whole downstream pipeline.
+    initial state is valid for the whole downstream pipeline.  More than
+    ``dim_cap`` levels raise InfeasibleScenarioError, at once when
+    ``_dim_lower_bound`` is over the cap.
     """
     if nu < 0 or m < 0:
         raise ValueError("nu and m must be non-negative")
+    what = f"state (nu={nu:g}, m={m})"
+    check_dim_cap(_dim_lower_bound(nu, m, policy), dim_cap, what)
     w = _converged_weights(nu, m, policy.tail_tol)
-    return m + _kept_levels(w, policy.tail_tol) - 1 + policy.safety_margin
+    n_cut = m + _kept_levels(w, policy.tail_tol) - 1 + policy.safety_margin
+    check_dim_cap(n_cut + 1, dim_cap, what)
+    return n_cut
 
 
 def _dim_lower_bound(nu: float, m: int, policy: CutoffPolicy) -> int:
@@ -216,6 +231,7 @@ def build_initial_state(
     spec: InitialStateSpec,
     n_cut: int | None = None,
     policy: CutoffPolicy = CutoffPolicy(),
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> np.ndarray:
     """The read-only amplitudes of the input state over levels 0..n_cut,
     renormalized there: m creation operators applied to |alpha> (m = 0 is the
@@ -223,18 +239,24 @@ def build_initial_state(
 
     The unnormalized amplitude at level n+m is
     exp(-nu/2) * alpha^n * sqrt((n+m)!) / n!, zero below level m; at nu = 0
-    the state is |m>.  The cutoff is chosen when not given; a given one
-    raises CutoffTooSmallError when levels 0..n_cut drop ``tail_tol`` or
-    more of the occupation weight, which includes n_cut < m.
+    the state is |m>.  The cutoff is chosen by ``choose_cutoff`` when not
+    given.  A given one raises InfeasibleScenarioError when n_cut + 1 is
+    over ``dim_cap``, and CutoffTooSmallError when levels 0..n_cut drop
+    ``tail_tol`` or more of the occupation weight, which includes n_cut < m;
+    one below ``_dim_lower_bound`` is refused before any weights are built.
     """
     nu, m = spec.nu, spec.m
     if n_cut is None:
-        n_cut = choose_cutoff(nu, m, policy)
-    elif _kept_levels(_converged_weights(nu, m, policy.tail_tol), policy.tail_tol) > n_cut - m + 1:
-        raise CutoffTooSmallError(
-            f"n_cut={n_cut} drops tail_tol {policy.tail_tol:.3e} or more of the state "
-            f"for nu={nu}, m={m}"
-        )
+        n_cut = choose_cutoff(nu, m, policy, dim_cap)
+    else:
+        check_dim_cap(n_cut + 1, dim_cap, f"state (nu={nu:g}, m={m})")
+        if (n_cut + 1 < _dim_lower_bound(nu, m, policy) - policy.safety_margin
+                or _kept_levels(_converged_weights(nu, m, policy.tail_tol), policy.tail_tol)
+                > n_cut - m + 1):
+            raise CutoffTooSmallError(
+                f"n_cut={n_cut} drops tail_tol {policy.tail_tol:.3e} or more of the state "
+                f"for nu={nu}, m={m}"
+            )
     amps = np.zeros(n_cut + 1, dtype=complex)
     if nu == 0.0:
         amps[m] = 1.0

@@ -9,7 +9,10 @@ vacuum with x = sqrt(2)*Re(beta), p = sqrt(2)*Im(beta), and
 Q is bounded by 1/pi, a coherent state peaks at (sqrt(2)Re alpha,
 sqrt(2)Im alpha), and the phase-space measure is dx dp / 2 (so sum(Q)*dx*dp/2
 is ~1 on a window enclosing the state).  Q is evaluated directly from the
-Fock amplitudes by a Horner pass over the grid.  Peaks are counted by
+Fock amplitudes by a Horner pass over the grid.  ``husimi_q`` owns the
+grid's size rule, resolution <= ``dim_cap``, and refuses a larger grid
+before it allocates one; ``sweep.run_husimi`` applies the same check,
+``_check_grid_cap``, before it builds its state.  Peaks are counted by
 topographic prominence with ``prominent_summits``, the same rule that finds
 the entropy minima of a curve in ``sweep``; it labels connected regions from
 horizontal runs with numpy alone.  ``write_grid`` writes a grid
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import check_int, check_real, log_factorials
+from .fock import DEFAULT_DIM_CAP, check_dim_cap, check_int, check_real, log_factorials
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -72,14 +75,31 @@ def default_half_width(mean_photons: float) -> float:
     return 2.0 + 1.6 * math.sqrt(2.0 * max(mean_photons, 0.0))
 
 
+def _check_grid_cap(resolution: int, dim_cap: int) -> None:
+    """Refuse a ``resolution`` x ``resolution`` Husimi grid over ``dim_cap``."""
+    check_dim_cap(resolution, dim_cap, "Husimi grid")
+
+
 def husimi_q(
     amplitudes: np.ndarray,
     half_width: float | None = None,
     resolution: int = 201,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> PhaseSpaceGrid:
     """Evaluate Q of the state with these Fock amplitudes on a square window
-    of the given half-width (default sized from its mean photon number)."""
+    of the given half-width (default sized from its mean photon number).
+
+    ``amplitudes`` must be a non-empty, finite 1-D array, and a
+    ``resolution`` over ``dim_cap`` raises InfeasibleScenarioError before
+    the grid is built."""
     check_int("resolution", resolution, 2)
+    _check_grid_cap(resolution, dim_cap)
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.ndim != 1 or amplitudes.size == 0:
+        raise ValueError(f"amplitudes must be a non-empty 1-D array, got shape "
+                         f"{amplitudes.shape}")
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("amplitudes must be finite")
     if half_width is None:
         probs = np.abs(amplitudes) ** 2
         half_width = default_half_width(float(np.dot(np.arange(len(probs)), probs)))

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    DEFAULT_DIM_CAP,
     CutoffPolicy,
     CutoffTooSmallError,
     InitialStateSpec,
     _coherent_amplitudes,
     build_initial_state,
+    check_dim_cap,
 )
 
 __all__ = [
@@ -113,8 +115,10 @@ def reconstruct_fock(superposition: CoherentSuperposition, n_cut: int) -> np.nda
     The dropped tail, refused above the default ``CutoffPolicy``'s
     ``tail_tol``, is measured against the exact squared norm, computed in
     closed form from the pairwise coherent overlaps
-    <g_i|g_j> = exp(-|g_i|^2/2 - |g_j|^2/2 + conj(g_i)*g_j).
+    <g_i|g_j> = exp(-|g_i|^2/2 - |g_j|^2/2 + conj(g_i)*g_j).  An n_cut + 1
+    over ``DEFAULT_DIM_CAP`` raises InfeasibleScenarioError before any work.
     """
+    check_dim_cap(n_cut + 1, DEFAULT_DIM_CAP, "reconstructed superposition")
     coeff, centers = superposition.coefficients, superposition.centers
     amps = np.zeros(n_cut + 1, dtype=complex)
     for c, g in zip(coeff, centers):

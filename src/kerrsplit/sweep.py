@@ -11,11 +11,13 @@ Scenarios are plain JSON documents.  Every pipeline stage is deterministic
 (there is no randomness anywhere), so identical configs produce byte-identical
 CSV files.
 
-Every runner takes its input states from one step, ``_input_state``,
-which checks the state's size against ``dim_cap``, builds its amplitudes
-once at the cutoff ``config.cutoff`` chooses, and hands them down; n_cut is
-their length less one.  A runner builds all its states before any heavy
-work.  Pure-state curves run as batches: the per-mode trim is chosen once
+Every runner builds each input state once, with
+``build_initial_state(spec, policy=config.cutoff, dim_cap=config.dim_cap)``,
+and hands its amplitudes down; n_cut is their length less one.  The builder
+owns the size rule d <= ``dim_cap`` and ``husimi`` owns the grid's, which
+``run_husimi`` applies with ``_check_grid_cap`` before it builds its state,
+so no runner keeps a copy of either.  A runner builds all its states before
+any heavy work.  Pure-state curves run as batches: the per-mode trim is chosen once
 per curve (once per nu column of a surface), and the Kerr phases, the
 splitter and the Schmidt SVDs run on blocks of tau values at a time.  Kerr
 evolution is diagonal in photon number, so each output mode's marginal is
@@ -51,13 +53,12 @@ from .fock import (
     InfeasibleScenarioError,
     InitialStateSpec,
     _TAIL,
-    _dim_lower_bound,
     build_initial_state,
-    check_dim_cap,
     check_int,
     check_real,
 )
 from .husimi import (
+    _check_grid_cap,
     count_peaks,
     husimi_q,
     n_max_estimate,
@@ -178,8 +179,9 @@ class ChannelSection(ChannelParams):
     their check, from ``ChannelParams``, then the gamma*tau axis, the revival
     fraction feeding the splitter, and which photon-addition numbers to scan
     (``gamma_tau_grid`` may also be a dict of GridSpec fields).  The rates'
-    gamma*tau rule, ``ChannelParams._damping_times``, runs on ``gamma_tau``
-    and on the grid's ends when the section is built."""
+    gamma*tau rule, ``ChannelParams._damping_times``, runs when the section
+    is built on the axis a scan reads: the grid's ends when a grid is set,
+    ``gamma_tau`` otherwise."""
 
     gamma_tau_grid: GridSpec | None = GridSpec(0.0, 1.0, 51)
     gamma_tau: float = 0.3
@@ -194,8 +196,10 @@ class ChannelSection(ChannelParams):
                 object.__setattr__(self, "gamma_tau_grid", GridSpec(**self.gamma_tau_grid))
         _check_type("gamma_tau_grid", self.gamma_tau_grid, GridSpec, optional=True)
         _check_non_negative_ends("gamma_tau_grid", self.gamma_tau_grid)
+        if check_real("gamma_tau", self.gamma_tau) < 0:
+            raise ValueError(f"gamma_tau must be >= 0, got {self.gamma_tau!r}")
         grid = self.gamma_tau_grid
-        self._damping_times([self.gamma_tau, *((grid.start, grid.stop) if grid else ())])
+        self._damping_times((grid.start, grid.stop) if grid else (self.gamma_tau,))
         object.__setattr__(self, "m_values", _as_tuple("m_values", self.m_values))
         for m in self.m_values:
             check_int("m_values", m, 0)
@@ -339,27 +343,13 @@ def _label(spec: InitialStateSpec) -> str:
     return f"(nu={spec.nu:g}, m={spec.m})"
 
 
-def _input_state(config: ScenarioConfig, spec: InitialStateSpec) -> np.ndarray:
-    """The read-only amplitudes of ``spec`` over levels 0..n_cut, at the
-    cutoff ``config.cutoff`` chooses, refused when d = n_cut + 1 exceeds
-    ``config.dim_cap``: on the pure paths d is the side of the splitter
-    output.  A lower bound on d is checked before the cutoff's weight arrays
-    are built.  The loss path's own cap on d^2 belongs to ``decoherence``,
-    and the scan applies it to the amplitudes returned here."""
-    what = f"state {_label(spec)}"
-    check_dim_cap(_dim_lower_bound(spec.nu, spec.m, config.cutoff), config.dim_cap, what)
-    amplitudes = build_initial_state(spec, policy=config.cutoff)
-    check_dim_cap(len(amplitudes), config.dim_cap, what)
-    return amplitudes
-
-
 def run_entropy_curve(config: ScenarioConfig) -> Table:
     """Entanglement entropy over the time grid, with prominent local minima
     annotated by the nearest rational revival fraction p/q.  The summary
     holds E_max and the minima, each compared against the log2(q) value a
     maximally entangled q-dimensional state would give."""
     init = config.initial
-    amplitudes = _input_state(config, init)
+    amplitudes = build_initial_state(init, policy=config.cutoff, dim_cap=config.dim_cap)
     grid = config.time_grid.values()
     column = _entropy_column(amplitudes, grid, _label(init))
     taus, entropies = grid.tolist(), column.tolist()
@@ -387,7 +377,8 @@ def run_entropy_surface(config: ScenarioConfig) -> Table:
     taus = config.time_grid.values()
     nus = config.nu_grid.values().tolist()
     specs = [replace(init, nu=nu) for nu in nus]
-    states = [_input_state(config, spec) for spec in specs]
+    states = [build_initial_state(spec, policy=config.cutoff, dim_cap=config.dim_cap)
+              for spec in specs]
     n_cuts = [len(amplitudes) - 1 for amplitudes in states]
     grid = np.column_stack([_entropy_column(amplitudes, taus, _label(spec))
                             for spec, amplitudes in zip(specs, states)])
@@ -409,6 +400,8 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     states are built, and each is held to the loss path's cap
     (``decoherence._check_loss_cap``), before any curve runs, so a
     violation fails before any heavy work, naming the offending (nu, m).
+    The header and summary state gamma1, gamma2, the revival tau and, with
+    a nu grid, the fixed gamma*tau.
     """
     chan = ChannelSection() if config.channel is None else config.channel
     init = config.initial
@@ -421,7 +414,8 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     else:
         raise ConfigError("channel: need gamma_tau_grid, or nu_grid plus a fixed gamma_tau")
     specs = [replace(init, nu=nu, m=m) for m in m_values for nu in nus]
-    states = [_input_state(config, spec) for spec in specs]
+    states = [build_initial_state(spec, policy=config.cutoff, dim_cap=config.dim_cap)
+              for spec in specs]
     for spec, amplitudes in zip(specs, states):
         _check_loss_cap(amplitudes, config.dim_cap, f"state {_label(spec)}")
 
@@ -439,11 +433,14 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     by_m = {m: values[k * size:(k + 1) * size] for k, m in enumerate(m_values)}
     columns = {"gamma_tau" if by_gamma_tau else "nu": abscissa, "log_negativity": values,
                "m": ms, "n_cut": n_cuts, "revival_tau": [chan.tau] * len(values)}
-    summary = {"name": config.name, "nu": init.nu, "revival_tau": chan.tau,
+    channel = {"gamma1": chan.gamma1, "gamma2": chan.gamma2, "revival_tau": chan.tau}
+    if not by_gamma_tau:  # the fixed gamma*tau of an E_N(nu) scan
+        channel["gamma_tau"] = chan.gamma_tau
+    summary = {"name": config.name, "nu": init.nu, **channel,
                "curves": [{"m": m, "initial": curve[0], "final": curve[-1]}
                           for m, curve in sorted(by_m.items())]}
     artifact = "negativity-vs-gammatau" if by_gamma_tau else "negativity-vs-nu"
-    return Table(artifact, _scenario_header(config), columns, summary)
+    return Table(artifact, {**_scenario_header(config), **channel}, columns, summary)
 
 
 def run_husimi(config: ScenarioConfig, out_dir) -> dict:
@@ -453,17 +450,19 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
     section = config.husimi
     if not section.taus:
         raise ConfigError("husimi.taus: at least one tau value is required")
-    check_dim_cap(section.resolution, config.dim_cap, "Husimi grid")
+    _check_grid_cap(section.resolution, config.dim_cap)  # before any state is built
 
     init = config.initial
-    amplitudes = _input_state(config, init)
+    amplitudes = build_initial_state(init, policy=config.cutoff, dim_cap=config.dim_cap)
 
     entries = []
     with _staged(Path(out_dir)) as stage:
         for tau in section.taus:
-            grid = husimi_q(kerr_evolve(amplitudes, float(tau)), half_width=section.half_width,
-                            resolution=section.resolution)
             what = f"Husimi Q at tau={float(tau):g}"
+            state = kerr_evolve(amplitudes, float(tau))
+            _check_finite(state, what)  # a huge tau or theta overflows
+            grid = husimi_q(state, half_width=section.half_width,
+                            resolution=section.resolution, dim_cap=config.dim_cap)
             _check_finite(grid.values, what)
             normalization = grid.normalization()  # overflows in a huge window
             _check_finite(normalization, what)

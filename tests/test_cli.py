@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from kerrsplit import cli, fock
+from kerrsplit import cli, fock, sweep
 from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.cli import main
 from kerrsplit.entanglement import pure_state_log_negativity
@@ -165,7 +165,7 @@ def test_husimi_window_whose_mass_overflows_is_infeasible(tmp_path, capsys):
 
 # (--nu, exit code): a bad nu is a config error and a huge one is infeasible;
 # each once ended in a traceback (1e12 in a MemoryError under a 2 GB address-space limit).
-ORACLE_BAD_NU = {"-1": 1, "nan": 1, "inf": 1, "1e7": 2, "1e12": 2}
+ORACLE_BAD_NU = {"-1": 1, "nan": 1, "inf": 1, "1e7": 2, "1e9": 2, "1e12": 2}
 
 
 @pytest.mark.parametrize("nu", sorted(ORACLE_BAD_NU))
@@ -182,6 +182,72 @@ def test_oracle_check_refuses_bad_nu(capsys, monkeypatch, nu):
     assert not any("Traceback" in line for line in lines)
     assert len(lines) == 1 and lines[0].startswith(prefix)
     assert captured.out == ""
+
+
+def test_decohere_runs_a_grid_only_channel_with_gamma1_zero(tmp_path):
+    # the unused default gamma_tau = 0.3 once refused this for gamma1 = 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "g", "initial": {"nu": 1.0}, "channel": {
+        "gamma1": 0, "gamma_tau_grid": {"start": 0, "stop": 0, "steps": 2}}}))
+    assert run_cli(["decohere", "--config", cfg, "--out-dir", tmp_path]) == 0
+    summary = json.loads((tmp_path / "g_negativity-vs-gammatau.json").read_text())
+    curve = summary["curves"][0]
+    assert curve["initial"] == curve["final"] > 0
+
+
+def test_decohere_overflow_names_the_grid_end(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channel": {
+        "gamma1": 1e-320, "gamma_tau_grid": {"start": 0, "stop": 0.5, "steps": 2}}}))
+    assert run_cli(["decohere", "--config", cfg, "--out-dir", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert "gamma_tau=0.5 " in err and "0.3" not in err
+
+
+# (scenario JSON, abscissa of the table) of each decohere mode
+DECOHERE_MODES = {
+    "gamma-tau-grid": ({"channel": {"gamma1": 0.1, "gamma2": 0.3, "tau": 0.4,
+                                    "gamma_tau_grid": {"start": 0, "stop": 0.2, "steps": 2}}},
+                       "gammatau"),
+    "nu-grid": ({"nu_grid": {"start": 0.5, "stop": 1.0, "steps": 2},
+                 "channel": {"gamma1": 0.2, "gamma2": 0.1, "tau": 0.3,
+                             "gamma_tau_grid": None, "gamma_tau": 0.25}}, "nu"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DECOHERE_MODES))
+def test_decohere_artifacts_state_the_channel_they_used(tmp_path, monkeypatch, mode):
+    raw, abscissa = DECOHERE_MODES[mode]
+    used = {}
+    real_evolve, real_curve = sweep.kerr_evolve, sweep.negativity_decay_curve
+
+    def evolve(amplitudes, tau):
+        used.setdefault("revival_tau", set()).add(tau)
+        return real_evolve(amplitudes, tau)
+
+    def curve(state, gamma_taus, params, dim_cap):
+        used.setdefault("gamma1", set()).add(params.gamma1)
+        used.setdefault("gamma2", set()).add(params.gamma2)
+        if abscissa == "nu":
+            used.setdefault("gamma_tau", set()).update(gamma_taus)
+        return real_curve(state, gamma_taus, params, dim_cap)
+
+    monkeypatch.setattr(sweep, "kerr_evolve", evolve)
+    monkeypatch.setattr(sweep, "negativity_decay_curve", curve)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "c", **raw}))
+    assert run_cli(["decohere", "--config", cfg, "--out-dir", tmp_path]) == 0
+    stem = tmp_path / f"c_negativity-vs-{abscissa}"
+    header = dict(line[2:].split(": ", 1) for line in stem.with_suffix(".csv").read_text()
+                  .splitlines() if line.startswith("# "))
+    summary = json.loads(stem.with_suffix(".json").read_text())
+    assert set(used) == ({"gamma1", "gamma2", "revival_tau"}
+                         | ({"gamma_tau"} if abscissa == "nu" else set()))
+    for key, values in used.items():
+        (value,) = values
+        assert float(header[key]) == summary[key] == value
+    if abscissa == "gammatau":  # the grid is the table's own column
+        assert "gamma_tau" not in header and "gamma_tau" not in summary
 
 
 _DECAY = {"initial": {"nu": 1.0},

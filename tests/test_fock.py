@@ -1,14 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies
+from hypothesis import assume, example, given, settings, strategies
 
+from kerrsplit import fock
+from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.fock import (
+    DEFAULT_DIM_CAP,
     CutoffPolicy,
     CutoffTooSmallError,
+    InfeasibleScenarioError,
     InitialStateSpec,
     _coherent_amplitudes,
+    _dim_lower_bound,
     _kept_levels,
     build_initial_state,
     choose_cutoff,
@@ -230,3 +236,83 @@ def test_log_factorials_match_exact_factorials():
     exact = np.array([math.log(math.factorial(n)) for n in range(171)])
     assert np.allclose(table, exact, rtol=1e-15, atol=0.0)
     assert len(log_factorials(0)) == 0
+
+
+class WeightSpy:
+    """Stands in for fock._converged_weights and records the length of each
+    weight array it builds."""
+
+    def __init__(self):
+        self.real = fock._converged_weights
+        self.lengths = []
+
+    def __call__(self, *args):
+        weights = self.real(*args)
+        self.lengths.append(len(weights))
+        return weights
+
+
+# nu from 1e-3 to 1e12, log-uniform; at nu = 3000 the state fits under the cap,
+# at 4000 it passes the lower bound but not the cap, and 1e9 fails the bound
+@settings(max_examples=150, deadline=None)
+@given(exponent=strategies.floats(-3.0, 12.0), m=strategies.integers(0, 6))
+@example(exponent=math.log10(3000.0), m=6)
+@example(exponent=math.log10(4000.0), m=0)
+@example(exponent=9.0, m=0)
+def test_builders_return_a_capped_state_or_refuse_it(exponent, m):
+    nu = 10.0 ** exponent
+    refused_at_once = _dim_lower_bound(nu, m, CutoffPolicy()) > DEFAULT_DIM_CAP
+    builders = {"build_initial_state": lambda: build_initial_state(InitialStateSpec(nu=nu, m=m)),
+                "choose_cutoff": lambda: choose_cutoff(nu, m)}
+    for name, build in builders.items():
+        spy = WeightSpy()
+        with mock.patch.object(fock, "_converged_weights", spy):
+            try:
+                result = build()
+            except InfeasibleScenarioError as exc:
+                assert f"state (nu={nu:g}, m={m}) needs a" in str(exc)
+                # refused from the lower bound before any weights are built, or
+                # from the built d after one weight array the bound kept small
+                assert len(spy.lengths) == (0 if refused_at_once else 1)
+                assert sum(spy.lengths) <= 4 * DEFAULT_DIM_CAP
+                continue
+        assert not refused_at_once
+        if name == "choose_cutoff":
+            assert result + 1 <= DEFAULT_DIM_CAP
+        else:
+            assert len(result) <= DEFAULT_DIM_CAP and np.isfinite(result).all()
+            assert abs(np.linalg.norm(result) - 1.0) < 1e-12
+
+
+def test_explicit_cutoff_is_refused_before_any_weights():
+    spy = WeightSpy()
+    spec = InitialStateSpec(nu=1e9)
+    with mock.patch.object(fock, "_converged_weights", spy):
+        with pytest.raises(CutoffTooSmallError, match="n_cut=10"):
+            build_initial_state(spec, n_cut=10)
+        with pytest.raises(InfeasibleScenarioError, match="5001 x 5001"):
+            build_initial_state(spec, n_cut=5000)
+        with pytest.raises(InfeasibleScenarioError, match="21 x 21"):
+            build_initial_state(InitialStateSpec(nu=5.0), n_cut=20, dim_cap=20)
+    assert spy.lengths == []
+
+
+def test_output_at_time_refuses_a_huge_nu():
+    spy = WeightSpy()
+    with mock.patch.object(fock, "_converged_weights", spy):
+        with pytest.raises(InfeasibleScenarioError, match=r"state \(nu=1e\+12, m=0\)"):
+            output_at_time(InitialStateSpec(nu=1e12), 0.5)
+        with pytest.raises(CutoffTooSmallError):
+            output_at_time(InitialStateSpec(nu=1e9), 0.5, n_cut=10)
+    assert spy.lengths == []
+
+
+def test_builders_take_the_cap():
+    d = choose_cutoff(5.0, 2) + 1
+    assert len(build_initial_state(InitialStateSpec(nu=5.0, m=2), dim_cap=d)) == d
+    for build in (lambda: choose_cutoff(5.0, 2, dim_cap=d - 1),
+                  lambda: build_initial_state(InitialStateSpec(nu=5.0, m=2), dim_cap=d - 1)):
+        with pytest.raises(InfeasibleScenarioError, match=f"{d} x {d}"):
+            build()
+    with pytest.raises(ValueError, match="non-negative"):  # before the cap
+        choose_cutoff(-1.0, 0, dim_cap=1)

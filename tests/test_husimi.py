@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrsplit.fock import InitialStateSpec, build_initial_state
+from kerrsplit.fock import InfeasibleScenarioError, InitialStateSpec, build_initial_state
 from kerrsplit.husimi import (
     PhaseSpaceGrid,
     count_peaks,
@@ -413,3 +413,19 @@ def test_grid_shape_validation():
     x = np.linspace(-1, 1, 4)
     with pytest.raises(ValueError):
         PhaseSpaceGrid(x, x, np.zeros((3, 4)))
+
+
+def test_husimi_q_refuses_a_grid_over_the_cap():
+    with pytest.raises(InfeasibleScenarioError, match="100000 x 100000"):
+        husimi_q(np.array([1.0 + 0j]), resolution=10**5)
+    with pytest.raises(InfeasibleScenarioError, match="Husimi grid needs a 101 x 101"):
+        husimi_q(vacuum(3), resolution=101, dim_cap=100)
+    assert husimi_q(vacuum(3), resolution=100, dim_cap=100).values.shape == (100, 100)
+
+
+# each once gave numpy's unnamed TypeError, an all-zero grid or a NaN grid
+@pytest.mark.parametrize("amplitudes", [np.ones((2, 2)), np.array([]), [math.nan, 1.0]],
+                         ids=["2-d", "empty", "nan"])
+def test_husimi_q_names_bad_amplitudes(amplitudes):
+    with pytest.raises(ValueError, match="amplitudes"):
+        husimi_q(amplitudes, resolution=5)

@@ -6,6 +6,7 @@ import pytest
 from kerrsplit.fock import (
     CutoffPolicy,
     CutoffTooSmallError,
+    InfeasibleScenarioError,
     InitialStateSpec,
     build_initial_state,
     choose_cutoff,
@@ -149,3 +150,9 @@ def test_phase_rows_match_single_times():
     for tau, row in zip(taus, rows):
         assert np.array_equal(row, kerr_evolve(st, tau))
     assert np.array_equal(kerr_evolve(st, [1.0, 2.0, -3.0]), np.tile(st, (3, 1)))
+
+
+def test_reconstruction_refuses_a_cutoff_over_the_cap():
+    sup = fractional_revival_superposition(ALPHA5, 1, 2)
+    with pytest.raises(InfeasibleScenarioError, match="1000001 x 1000001"):
+        reconstruct_fock(sup, 10**6)
