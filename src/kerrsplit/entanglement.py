@@ -6,15 +6,31 @@ eigenvalues of either reduced density matrix); mixed states go through the
 partial transpose of the 4-index density matrix rho[m1, m2, n1, n2], which
 ``log_negativity`` solves whether it is complex or real.  Entropies are in
 bits (log base 2).
+
+``entanglement_entropies`` runs a long curve as blocks, each a function
+that builds one stack.  With more than one CPU to run on
+(``os.sched_getaffinity``) and more than one block, the blocks run on a
+thread pool of one thread per CPU.  Two blocks overlap only where numpy
+releases the GIL, which its batched SVD does when (matrices in the stack)
+x n is over 500, so a caller sizes its blocks for that.  Each matrix's SVD
+is the same in any stack, so the entropies are the same bits on any number
+of CPUs.  The pool starts and joins inside that one call on the calling
+thread, so a tracer that brackets the call sees all of its threads' work
+and no thread outlives it; ``tracemalloc`` was seen to crash on Python 3.11
+when it stopped while another thread allocated.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
 __all__ = [
+    "entanglement_entropies",
     "entanglement_entropy",
     "log_negativity",
     "partial_transpose",
@@ -59,6 +75,43 @@ def entanglement_entropy(phi: np.ndarray) -> float | np.ndarray:
     """Entropy of entanglement (ebits) of a pure two-mode amplitude matrix;
     one per matrix, from one batched SVD, for a (T, d, d) stack."""
     return von_neumann_entropy(schmidt_spectrum(phi))
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+def entanglement_entropies(blocks: Iterable[Callable[[], np.ndarray]]) -> np.ndarray:
+    """``entanglement_entropy`` of every matrix of every block, joined in
+    order; each of ``blocks`` is a function that takes no arguments and
+    builds a (T, d, d) stack.  On the thread pool each block runs in a copy
+    of the caller's context, and an error or an interrupt ends the call
+    without running the blocks still queued."""
+    blocks = list(blocks)
+    if not blocks:
+        return np.empty(0)
+    workers = _worker_count()
+    if workers == 1 or len(blocks) == 1:
+        return np.concatenate([entanglement_entropy(build()) for build in blocks])
+    from concurrent.futures import ThreadPoolExecutor  # only here: it slows the CLI import
+
+    def entropies(build):
+        return entanglement_entropy(build())
+
+    with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
+        # numpy (2.0 on) keeps its error state in a context variable; a
+        # context runs on one thread at a time, so each task gets its own copy
+        tasks = [pool.submit(contextvars.copy_context().run, entropies, build)
+                 for build in blocks]
+        try:
+            return np.concatenate([task.result() for task in tasks])
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

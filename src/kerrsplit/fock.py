@@ -199,6 +199,7 @@ def choose_cutoff(
     """
     if nu < 0 or m < 0:
         raise ValueError("nu and m must be non-negative")
+    check_real("nu", nu)
     what = f"state (nu={nu:g}, m={m})"
     check_dim_cap(_dim_lower_bound(nu, m, policy), dim_cap, what)
     w = _converged_weights(nu, m, policy.tail_tol)
@@ -244,6 +245,8 @@ def build_initial_state(
     over ``dim_cap``, and CutoffTooSmallError when levels 0..n_cut drop
     ``tail_tol`` or more of the occupation weight, which includes n_cut < m;
     one below ``_dim_lower_bound`` is refused before any weights are built.
+    A phase n * theta that overflows raises InfeasibleScenarioError naming
+    theta, where the amplitudes would be NaN (at nu = 0 there is no phase).
     """
     nu, m = spec.nu, spec.m
     if n_cut is None:
@@ -261,6 +264,11 @@ def build_initial_state(
     if nu == 0.0:
         amps[m] = 1.0
     else:
+        if not math.isfinite((n_cut - m) * spec.theta):
+            raise InfeasibleScenarioError(
+                f"state (nu={nu:g}, m={m}): the phase of level {n_cut} at "
+                f"theta={spec.theta!r} gave a non-finite result"
+            )
         n = np.arange(n_cut - m + 1)
         amps[m:] = np.exp(0.5 * _log_level_weights(nu, m, len(n)) + 1j * n * spec.theta)
         amps /= np.linalg.norm(amps)

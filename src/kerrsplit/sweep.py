@@ -19,9 +19,15 @@ owns the size rule d <= ``dim_cap`` and ``husimi`` owns the grid's, which
 so no runner keeps a copy of either.  A runner builds all its states before
 any heavy work.  Pure-state curves run as batches: the per-mode trim is chosen once
 per curve (once per nu column of a surface), and the Kerr phases, the
-splitter and the Schmidt SVDs run on blocks of tau values at a time.  Kerr
-evolution is diagonal in photon number, so each output mode's marginal is
-the same at every tau and equal between the modes.
+splitter and the Schmidt SVDs run on blocks of tau values at a time, at
+least one block per CPU the process may run on.  The blocks go to
+``entanglement.entanglement_entropies``, which runs them on a thread pool
+when there is more than one CPU and more than one block; ``_BLOCK_BYTES``
+is sized so that numpy releases the GIL for their SVDs.
+A point's numbers do not depend on its block, so the CSVs are the same
+bytes on any number of CPUs.  Kerr evolution is diagonal in photon number,
+so each output mode's marginal is the same at every tau and equal between
+the modes.
 The trim is ``beamsplitter._kept_split_levels`` of the input's |c|^2 at
 ``fock._TAIL``, with no two-mode amplitude built, and ``split_amplitudes``
 then builds only the (kept, kept) block of each tau, so the SVDs run at the
@@ -38,15 +44,16 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, entanglement
 
 from .beamsplitter import _kept_split_levels, split_amplitudes
 from .decoherence import ChannelParams, _check_loss_cap, negativity_decay_curve
-from .entanglement import entanglement_entropy
+from .entanglement import entanglement_entropies
 from .fock import (
     DEFAULT_DIM_CAP,
     CutoffPolicy,
@@ -86,9 +93,12 @@ MINIMUM_PROMINENCE = 0.05
 # Most points a grid, or the surface's tau x nu product, may hold.
 MAX_GRID_POINTS = 10**6
 
-# Two-mode amplitudes per batched block of tau values, in bytes.  Larger
-# blocks run no faster and raise the peak memory of a curve.
-_BLOCK_BYTES = 1 << 18
+# Two-mode amplitudes per batched block of tau values, in bytes.  numpy's
+# batched SVD releases the GIL only when (matrices in the block) x n is over
+# 500, so only such blocks run their SVDs at once: 512 KiB holds 14 matrices
+# at n = 47 (nu = 20), 14 x 47 = 658, and meets the 500 up to n = 60.  The
+# blocks in flight, one per CPU, bound a curve's peak memory.
+_BLOCK_BYTES = 1 << 19
 
 
 class ConfigError(ValueError):
@@ -296,16 +306,20 @@ def _entropy_column(amplitudes: np.ndarray, taus: np.ndarray, label: str) -> np.
     """Entanglement entropy at every tau for the input ``amplitudes``, equal
     to entanglement_entropy(split_amplitudes(kerr_evolve(amplitudes, tau)))
     point by point up to the dropped tail, run in bounded blocks on each
-    output mode's kept levels; ``label`` names the state in errors."""
+    output mode's kept levels, at least one block per CPU; ``label`` names
+    the state in errors."""
     # Kerr evolution leaves the photon numbers, and so each mode's kept
     # levels, as they are at tau = 0
     kept = _kept_split_levels(np.abs(amplitudes) ** 2, _TAIL)
-    block = max(1, _BLOCK_BYTES // (16 * kept * kept))
-    out = np.empty(len(taus))
-    for start in range(0, len(taus), block):
+    workers = entanglement._worker_count()
+    block = max(1, min(_BLOCK_BYTES // (16 * kept * kept), -(-len(taus) // workers)))
+
+    def stack(start: int) -> np.ndarray:
         rows = kerr_evolve(amplitudes, taus[start:start + block])
-        _check_finite(rows, f"state of {label}")  # a huge tau or theta
-        out[start:start + block] = entanglement_entropy(split_amplitudes(rows, kept))
+        _check_finite(rows, f"state of {label}")  # a huge tau overflows
+        return split_amplitudes(rows, kept)
+
+    out = entanglement_entropies(partial(stack, start) for start in range(0, len(taus), block))
     _check_finite(out, f"entropy of {label}")
     return out
 
@@ -422,7 +436,7 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     rows = []
     for spec, amplitudes in zip(specs, states):
         state = kerr_evolve(amplitudes, chan.tau)
-        _check_finite(state, f"state of {_label(spec)}")  # a huge tau or theta overflows
+        _check_finite(state, f"state of {_label(spec)}")  # a huge tau overflows
         curve = negativity_decay_curve(state, gamma_taus, chan, config.dim_cap)
         _check_finite([en for _, en in curve], f"log negativity of {_label(spec)}")
         n_cut = len(amplitudes) - 1
@@ -460,7 +474,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
         for tau in section.taus:
             what = f"Husimi Q at tau={float(tau):g}"
             state = kerr_evolve(amplitudes, float(tau))
-            _check_finite(state, what)  # a huge tau or theta overflows
+            _check_finite(state, what)  # a huge tau overflows
             grid = husimi_q(state, half_width=section.half_width,
                             resolution=section.resolution, dim_cap=config.dim_cap)
             _check_finite(grid.values, what)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from kerrsplit import cli, fock, sweep
+from kerrsplit import cli, entanglement, fock, sweep
 from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.cli import main
 from kerrsplit.entanglement import pure_state_log_negativity
@@ -332,8 +332,9 @@ BAD_INPUTS = {
                                                       "steps": 2}}, 2),
     "husimi-tau-1e308": (["husimi"], {"husimi": {"taus": [1e308], "resolution": 21}}, 2),
 }
-# rows whose Kerr or coherent phase overflows into NaN amplitudes: they are refused
-# only once the state is built, so they reach the cutoff
+# rows whose Kerr or coherent phase overflows: the builder refuses the coherent
+# phase once it has chosen the cutoff, and the runners the Kerr-evolved state, so
+# both reach the cutoff
 OVERFLOWING = {"decohere-tau-1e308", "decohere-theta-1e308", "entropy-theta-1e308",
                "entropy-tau-1e308", "husimi-tau-1e308"}
 
@@ -364,6 +365,23 @@ def test_bad_input_ends_in_one_named_error(tmp_path, capsys, monkeypatch, case):
     if case in OVERFLOWING:  # refused as a non-finite state, not a failed SVD
         assert len(lines) == 1 and lines[0].endswith("gave a non-finite result")
     assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+
+
+def test_overflow_in_a_pool_worker_ends_in_the_same_named_error(tmp_path, capsys,
+                                                                monkeypatch):
+    """Two workers split the two-point grid into two pool tasks; each runs under
+    the CLI's numpy error state, so with warnings as errors the overflowing tau
+    still ends in the one named error."""
+    monkeypatch.setattr(entanglement, "_worker_count", lambda: 2)
+    test_bad_input_ends_in_one_named_error(tmp_path, capsys, monkeypatch, "entropy-tau-1e308")
+
+
+def test_cli_import_loads_no_thread_pool():
+    """concurrent.futures is imported only when an entropy curve uses the pool."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import kerrsplit.cli"],
+                          capture_output=True, text=True, check=True)
+    assert "kerrsplit.cli" in proc.stderr
+    assert "concurrent" not in proc.stderr
 
 
 # (argv, artifact named "s") of a command that writes files

@@ -316,3 +316,25 @@ def test_builders_take_the_cap():
             build()
     with pytest.raises(ValueError, match="non-negative"):  # before the cap
         choose_cutoff(-1.0, 0, dim_cap=1)
+
+
+@pytest.mark.parametrize("nu", [math.inf, math.nan])
+def test_choose_cutoff_refuses_a_non_finite_nu_by_name(nu):
+    with pytest.raises(ValueError, match="nu must be finite"):
+        choose_cutoff(nu, 0)
+
+
+@pytest.mark.parametrize("theta", [1e308, -1e308, 1e307])
+@pytest.mark.parametrize("n_cut", [None, 30])
+def test_an_overflowing_phase_is_refused_by_name(theta, n_cut):
+    """n * theta overflows at the top level, where the amplitude would be NaN;
+    the builder refuses it before numpy computes (or warns about) the phase."""
+    with pytest.raises(InfeasibleScenarioError, match=r"theta=.*non-finite result"):
+        build_initial_state(InitialStateSpec(nu=1.0, theta=theta), n_cut=n_cut)
+
+
+@pytest.mark.parametrize("nu, theta", [(1.0, 1e300), (0.0, 1e308)])
+def test_a_phase_that_does_not_overflow_still_builds(nu, theta):
+    amplitudes = build_initial_state(InitialStateSpec(nu=nu, m=2, theta=theta))
+    assert np.isfinite(amplitudes).all()
+    assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12

@@ -1,12 +1,14 @@
 import json
 import math
+import threading
+import time
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrsplit import fock, sweep
+from kerrsplit import entanglement, fock, sweep
 from kerrsplit.entanglement import (
     _ENTROPY_FLOOR,
     entanglement_entropy,
@@ -600,6 +602,47 @@ def test_blocks_bound_the_amplitude_stack(monkeypatch):
     assert sum(shape[0] for shape in blocks) == 50  # one split per tau
     assert all(shape[1:] == (n, n) for shape in blocks)
     assert max(shape[0] for shape in blocks) * 16 * n * n <= _BLOCK_BYTES
+
+
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("length", ["one", "below", "at", "above", "across"])
+def test_pool_gives_the_serial_column_bitwise(monkeypatch, m, length):
+    """The thread pool splits the grid differently for each worker count;
+    every point's entropy is the same, to the bit, as on one worker."""
+    block = block_rows(5.0, m)
+    steps = {"one": 1, "below": block - 1, "at": block, "above": block + 1,
+             "across": 2 * block + 1}[length]
+    amplitudes = build_initial_state(InitialStateSpec(nu=5.0, m=m))
+    taus = np.linspace(0.0, 1.0, steps)
+    columns, threads = {}, threading.active_count()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(entanglement, "_worker_count", lambda: workers)
+        columns[workers] = sweep._entropy_column(amplitudes, taus, "state")
+        assert threading.active_count() == threads  # no pool thread outlives the call
+    assert len(columns[1]) == steps
+    for workers in (2, 3):
+        assert columns[workers].tobytes() == columns[1].tobytes()
+
+
+def test_a_failed_block_leaves_the_queued_blocks_unrun(monkeypatch):
+    """An error in one pool task ends the curve at once: the blocks still in
+    the queue are cancelled, not run before the error is raised."""
+    monkeypatch.setattr(entanglement, "_worker_count", lambda: 2)
+    real, calls = sweep.kerr_evolve, []
+
+    def failing_first(amplitudes, taus):
+        calls.append(taus[0])
+        if taus[0] == 0.0:
+            raise InfeasibleScenarioError("the first block")
+        time.sleep(0.01)
+        return real(amplitudes, taus)
+
+    monkeypatch.setattr(sweep, "kerr_evolve", failing_first)
+    amplitudes = build_initial_state(InitialStateSpec(nu=20.0))
+    taus = np.linspace(0.0, 1.0, 100 * block_rows(20.0, 0))
+    with pytest.raises(InfeasibleScenarioError, match="the first block"):
+        sweep._entropy_column(amplitudes, taus, "state")
+    assert len(calls) < 10  # of 100 blocks
 
 
 # ---------------------------------------------------------------- output
