@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from kerrsplit.beamsplitter import output_at_time
-from kerrsplit.entanglement import entanglement_entropy
-from kerrsplit.fock import InitialStateSpec
+from kerrsplit.entanglement import entanglement_entropy, entropy_curve
+from kerrsplit.fock import InitialStateSpec, build_initial_state
 
 NU = 5.0
 TAUS = np.linspace(0.0, 1.0, 301)
@@ -22,8 +22,7 @@ TAUS = np.linspace(0.0, 1.0, 301)
 def main():
     curves = {}
     for m in (0, 5, 10):
-        spec = InitialStateSpec(nu=NU, m=m)
-        curves[m] = np.array([entanglement_entropy(output_at_time(spec, t)) for t in TAUS])
+        curves[m] = entropy_curve(build_initial_state(InitialStateSpec(nu=NU, m=m)), TAUS)
         print(f"m = {m:2d}:  E(0) = {curves[m][0]:.4f}   E_max = {curves[m].max():.4f} ebits")
 
     print("\npointwise dominance over the shared grid:")

@@ -9,6 +9,7 @@ from .beamsplitter import output_at_time, split_amplitudes
 from .decoherence import ChannelParams, negativity_decay_curve
 from .entanglement import (
     entanglement_entropy,
+    entropy_curve,
     log_negativity,
     partial_transpose,
     pure_state_log_negativity,

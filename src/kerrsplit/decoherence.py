@@ -39,9 +39,9 @@ up to about 2 * sqrt(_EN_TAIL) in practice: at a coherent input with
 tau = 0 and little loss, where the E_N of about 1e-8 is all the Fock
 cutoff's, a trim at 1e-20 lost 1.2e-10 of it.  So ``_EN_TAIL`` is 1e-21,
 which keeps E_N within 1e-10 of the untrimmed one for one more kept level
-per mode.  It is apart from the entropy curves' ``fock._TAIL`` (1e-16),
-whose error in the entropy grows as tail * log(1/tail), not as its square
-root.  At gamma*tau = 0, E_N is the closed form
+per mode.  It is apart from the entropy curves' ``entanglement._TAIL``
+(1e-16), whose error in the entropy grows as tail * log(1/tail), not as its
+square root.  At gamma*tau = 0, E_N is the closed form
 ``pure_state_log_negativity`` of the untrimmed split state.
 
 The loss path's two input rules live here, and ``sweep`` calls them rather

@@ -7,17 +7,42 @@ partial transpose of the 4-index density matrix rho[m1, m2, n1, n2], which
 ``log_negativity`` solves whether it is complex or real.  Entropies are in
 bits (log base 2).
 
-``entanglement_entropies`` runs a long curve as blocks, each a function
-that builds one stack.  With more than one CPU to run on
-(``os.sched_getaffinity``) and more than one block, the blocks run on a
-thread pool of one thread per CPU.  Two blocks overlap only where numpy
-releases the GIL, which its batched SVD does when (matrices in the stack)
-x n is over 500, so a caller sizes its blocks for that.  Each matrix's SVD
-is the same in any stack, so the entropies are the same bits on any number
-of CPUs.  The pool starts and joins inside that one call on the calling
-thread, so a tracer that brackets the call sees all of its threads' work
-and no thread outlives it; ``tracemalloc`` was seen to crash on Python 3.11
-when it stopped while another thread allocated.
+``entropy_curve`` is the pure-state pipeline at many times: the entropy of
+the input amplitudes c after Kerr evolution and the splitter, at every tau
+of a curve.  Kerr evolution is diagonal in photon number, so each output
+mode's marginal is the same at every tau and equal between the modes; the
+curve trims both modes once, by ``beamsplitter._kept_split_levels`` of
+|c|^2 at ``_TAIL``, with no two-mode amplitude built, and
+``split_amplitudes`` then builds only the (kept, kept) block of each tau,
+so the SVDs run at the state's natural size (47 of 65 levels at nu = 20).
+
+``_TAIL`` = 1e-16 is a tenth of ``_ENTROPY_FLOOR`` (1e-15), below which
+``von_neumann_entropy`` already drops a Schmidt weight.  With t = ``_TAIL``,
+d the untrimmed levels per mode and eta(x) = -x log2 x, the trim's error in
+the entropy E is bounded in three steps:
+
+- interlacing: the kept (n, n) block phi' of phi has
+  sigma_i(phi') <= sigma_i(phi), so its Schmidt weights lambda'_i <= lambda_i
+  termwise, and sum(lambda_i - lambda'_i), the mass beyond n on either mode,
+  is at most 2t;
+- Fannes' lemma (Commun. Math. Phys. 31, 291 (1973)): with
+  |eta(a) - eta(b)| <= eta(|a - b|) and concavity, the weights move E by at
+  most 2t log2(d / 2t), and renormalizing lambda' to a unit sum adds at most
+  2t (log2 d + 1.5); together about 1.3e-14 at d = 65 (nu = 20);
+- floor crossings: each weight that the trim carries across the floor adds
+  eta(1e-15), about 5e-14, to that sum.
+
+The curve then runs the Kerr phases, the splitter and the Schmidt SVDs on
+blocks of tau values, at least one block per CPU the process may run on
+(``os.sched_getaffinity``).  With more than one CPU and more than one
+block, the blocks run on a thread pool of one thread per CPU.  Two blocks
+overlap only where numpy releases the GIL, which its batched SVD does when
+(matrices in the stack) x n is over 500, so ``_BLOCK_BYTES`` is sized for
+that.  Each matrix's SVD is the same in any stack, so the entropies are the
+same bits on any number of CPUs.  The pool starts and joins inside that one
+call on the calling thread, so a tracer that brackets the call sees all of
+its threads' work and no thread outlives it; ``tracemalloc`` was seen to
+crash on Python 3.11 when it stopped while another thread allocated.
 """
 
 from __future__ import annotations
@@ -25,13 +50,15 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from collections.abc import Callable, Iterable
 
 import numpy as np
 
+from .beamsplitter import _kept_split_levels, split_amplitudes
+from .kerr import kerr_evolve
+
 __all__ = [
-    "entanglement_entropies",
     "entanglement_entropy",
+    "entropy_curve",
     "log_negativity",
     "partial_transpose",
     "pure_state_log_negativity",
@@ -41,6 +68,9 @@ __all__ = [
 
 # Schmidt weights below this are pure roundoff; 0*log(0) -> 0.
 _ENTROPY_FLOOR = 1e-15
+# share of an output mode's photon-number mass an entropy curve may drop
+# beyond its kept levels; the module docstring bounds what that moves E by
+_TAIL = 1e-16
 # eigenvalue magnitudes below this are dropped from the trace norm
 _TRACE_NORM_FLOOR = 1e-12
 
@@ -85,28 +115,44 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def entanglement_entropies(blocks: Iterable[Callable[[], np.ndarray]]) -> np.ndarray:
-    """``entanglement_entropy`` of every matrix of every block, joined in
-    order; each of ``blocks`` is a function that takes no arguments and
-    builds a (T, d, d) stack.  On the thread pool each block runs in a copy
-    of the caller's context, and an error or an interrupt ends the call
-    without running the blocks still queued."""
-    blocks = list(blocks)
-    if not blocks:
-        return np.empty(0)
+# Two-mode amplitudes per block of an entropy curve, in bytes.  numpy's
+# batched SVD releases the GIL only when (matrices in the block) x n is over
+# 500, so only such blocks run their SVDs at once: 512 KiB holds 14 matrices
+# at n = 47 (nu = 20), 14 x 47 = 658, and meets the 500 up to n = 60.  The
+# blocks in flight, one per CPU, bound a curve's peak memory.
+_BLOCK_BYTES = 1 << 19
+
+
+def entropy_curve(amplitudes: np.ndarray, taus) -> np.ndarray:
+    """Entanglement entropy (ebits) at each of the 1-D ``taus`` of the input
+    ``amplitudes`` after Kerr evolution and the splitter: equal to
+    entanglement_entropy(split_amplitudes(kerr_evolve(amplitudes, tau)))
+    point by point up to the trim's bound (module docstring), run on each
+    output mode's kept levels in blocks of at most ``_BLOCK_BYTES``.  On
+    the thread pool each block runs in a copy of the caller's context, and
+    an error or an interrupt ends the call without running the blocks still
+    queued."""
+    taus = np.asarray(taus, dtype=float)
+    kept = _kept_split_levels(np.abs(amplitudes) ** 2, _TAIL)
     workers = _worker_count()
-    if workers == 1 or len(blocks) == 1:
-        return np.concatenate([entanglement_entropy(build()) for build in blocks])
+    block = max(1, min(_BLOCK_BYTES // (16 * kept * kept), -(-len(taus) // workers)))
+    starts = range(0, len(taus), block)
+
+    def entropies(start: int) -> np.ndarray:
+        rows = kerr_evolve(amplitudes, taus[start:start + block])
+        return entanglement_entropy(split_amplitudes(rows, kept))
+
+    if not starts:
+        return np.empty(0)
+    if workers == 1 or len(starts) == 1:
+        return np.concatenate([entropies(start) for start in starts])
     from concurrent.futures import ThreadPoolExecutor  # only here: it slows the CLI import
 
-    def entropies(build):
-        return entanglement_entropy(build())
-
-    with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
+    with ThreadPoolExecutor(min(workers, len(starts))) as pool:
         # numpy (2.0 on) keeps its error state in a context variable; a
         # context runs on one thread at a time, so each task gets its own copy
-        tasks = [pool.submit(contextvars.copy_context().run, entropies, build)
-                 for build in blocks]
+        tasks = [pool.submit(contextvars.copy_context().run, entropies, start)
+                 for start in starts]
         try:
             return np.concatenate([task.result() for task in tasks])
         except BaseException:

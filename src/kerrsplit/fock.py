@@ -15,28 +15,13 @@ a huge ``nu`` or ``n_cut`` is refused at once and no caller keeps a copy.
 One trim call, ``_kept_mode_levels``, applies that rule to each output
 mode's marginal of a two-mode photon-number mass.  Its callers are
 ``beamsplitter._kept_split_levels``, which trims the split of a single-mode
-photon-number vector (once per curve for the Schmidt SVDs in ``sweep``, at
-``_TAIL``, and at each damped point of the loss curves in ``decoherence``,
-at its own ``_EN_TAIL``), and ``decoherence``, which trims a split state
-again after an excess loss rate on one mode; each caller names its tail.
+photon-number vector (once per curve in ``entanglement.entropy_curve``, at
+its ``_TAIL``, and at each damped point of the loss curves in
+``decoherence``, at its ``_EN_TAIL``), and ``decoherence``, which trims a
+split state again after an excess loss rate on one mode; each caller names
+its tail.
 Factorials and binomials are in log space, from ``log_factorials``, so
 levels near n = 100 stay finite.
-
-``_TAIL`` = 1e-16 is a tenth of ``entanglement._ENTROPY_FLOOR`` (1e-15),
-below which ``von_neumann_entropy`` already drops a Schmidt weight.  With
-t = ``_TAIL``, d the untrimmed levels per mode and eta(x) = -x log2 x, the
-trim's error in the entropy E is bounded in three steps:
-
-- interlacing: the kept (n, n) block phi' of phi has
-  sigma_i(phi') <= sigma_i(phi), so its Schmidt weights lambda'_i <= lambda_i
-  termwise, and sum(lambda_i - lambda'_i), the mass beyond n on either mode,
-  is at most 2t;
-- Fannes' lemma (Commun. Math. Phys. 31, 291 (1973)): with
-  |eta(a) - eta(b)| <= eta(|a - b|) and concavity, the weights move E by at
-  most 2t log2(d / 2t), and renormalizing lambda' to a unit sum adds at most
-  2t (log2 d + 1.5); together about 1.3e-14 at d = 65 (nu = 20);
-- floor crossings: each weight that the trim carries across the floor adds
-  eta(1e-15), about 5e-14, to that sum.
 """
 
 from __future__ import annotations
@@ -61,10 +46,6 @@ __all__ = [
 
 
 DEFAULT_DIM_CAP = 4096  # largest side of a square matrix a pipeline may build
-
-# share of an output mode's photon-number mass the entropy curves may drop
-# beyond its kept levels; the module docstring bounds what that moves E by
-_TAIL = 1e-16
 
 
 class CutoffTooSmallError(ValueError):

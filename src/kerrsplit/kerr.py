@@ -19,6 +19,7 @@ from .fock import (
     DEFAULT_DIM_CAP,
     CutoffPolicy,
     CutoffTooSmallError,
+    InfeasibleScenarioError,
     InitialStateSpec,
     _coherent_amplitudes,
     build_initial_state,
@@ -41,11 +42,21 @@ def kerr_evolve(amplitudes: np.ndarray, taus) -> np.ndarray:
     A scalar tau gives shape (d,); an array of T times gives one row per
     time, shape (T, d).  The exponent is reduced mod 2 before the complex
     exponential so that integer tau (full revivals, where n*(n-1) is always
-    even) gives phases of exactly 1.
+    even) gives phases of exactly 1.  An exponent (d-1)*(d-2)*max|tau| that
+    is not finite raises InfeasibleScenarioError, before any phase is
+    computed, where the phases would be NaN.
     """
     amplitudes = np.asarray(amplitudes)
-    n = np.arange(amplitudes.shape[-1], dtype=float)
-    cycles = np.mod(n * (n - 1.0) * np.asarray(taus, dtype=float)[..., None], 2.0)
+    taus = np.asarray(taus, dtype=float)
+    top = amplitudes.shape[-1] - 1
+    tau_max = float(np.abs(taus).max(initial=0.0))
+    if not math.isfinite(float(top * (top - 1)) * tau_max):
+        raise InfeasibleScenarioError(
+            f"Kerr evolution: the phase of level {top} at |tau|={tau_max!r} "
+            f"gave a non-finite result"
+        )
+    n = np.arange(top + 1, dtype=float)
+    cycles = np.mod(n * (n - 1.0) * taus[..., None], 2.0)
     return amplitudes * np.exp(-1j * math.pi * cycles)
 
 

@@ -17,22 +17,12 @@ and hands its amplitudes down; n_cut is their length less one.  The builder
 owns the size rule d <= ``dim_cap`` and ``husimi`` owns the grid's, which
 ``run_husimi`` applies with ``_check_grid_cap`` before it builds its state,
 so no runner keeps a copy of either.  A runner builds all its states before
-any heavy work.  Pure-state curves run as batches: the per-mode trim is chosen once
-per curve (once per nu column of a surface), and the Kerr phases, the
-splitter and the Schmidt SVDs run on blocks of tau values at a time, at
-least one block per CPU the process may run on.  The blocks go to
-``entanglement.entanglement_entropies``, which runs them on a thread pool
-when there is more than one CPU and more than one block; ``_BLOCK_BYTES``
-is sized so that numpy releases the GIL for their SVDs.
-A point's numbers do not depend on its block, so the CSVs are the same
-bytes on any number of CPUs.  Kerr evolution is diagonal in photon number,
-so each output mode's marginal is the same at every tau and equal between
-the modes.
-The trim is ``beamsplitter._kept_split_levels`` of the input's |c|^2 at
-``fock._TAIL``, with no two-mode amplitude built, and ``split_amplitudes``
-then builds only the (kept, kept) block of each tau, so the SVDs run at the
-state's natural size (47 of 65 levels at nu = 20), and E moves by at most
-the bound in the ``fock`` docstring.
+any heavy work.  An entropy curve, and each nu column of a surface, is one
+call of ``entanglement.entropy_curve``, as a loss curve is one call of
+``decoherence.negativity_decay_curve``; its numbers do not depend on the
+CPU count, so the CSVs are the same bytes on any number of CPUs.
+``kerr_evolve`` refuses a tau whose phases overflow, so no runner checks
+an evolved state.
 """
 
 from __future__ import annotations
@@ -44,22 +34,18 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, entanglement
-
-from .beamsplitter import _kept_split_levels, split_amplitudes
+from . import __version__
 from .decoherence import ChannelParams, _check_loss_cap, negativity_decay_curve
-from .entanglement import entanglement_entropies
+from .entanglement import entropy_curve
 from .fock import (
     DEFAULT_DIM_CAP,
     CutoffPolicy,
     InfeasibleScenarioError,
     InitialStateSpec,
-    _TAIL,
     build_initial_state,
     check_int,
     check_real,
@@ -92,13 +78,6 @@ MINIMUM_PROMINENCE = 0.05
 
 # Most points a grid, or the surface's tau x nu product, may hold.
 MAX_GRID_POINTS = 10**6
-
-# Two-mode amplitudes per batched block of tau values, in bytes.  numpy's
-# batched SVD releases the GIL only when (matrices in the block) x n is over
-# 500, so only such blocks run their SVDs at once: 512 KiB holds 14 matrices
-# at n = 47 (nu = 20), 14 x 47 = 658, and meets the 500 up to n = 60.  The
-# blocks in flight, one per CPU, bound a curve's peak memory.
-_BLOCK_BYTES = 1 << 19
 
 
 class ConfigError(ValueError):
@@ -300,31 +279,6 @@ def config_from_json(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# batched pure-state pipeline
-
-def _entropy_column(amplitudes: np.ndarray, taus: np.ndarray, label: str) -> np.ndarray:
-    """Entanglement entropy at every tau for the input ``amplitudes``, equal
-    to entanglement_entropy(split_amplitudes(kerr_evolve(amplitudes, tau)))
-    point by point up to the dropped tail, run in bounded blocks on each
-    output mode's kept levels, at least one block per CPU; ``label`` names
-    the state in errors."""
-    # Kerr evolution leaves the photon numbers, and so each mode's kept
-    # levels, as they are at tau = 0
-    kept = _kept_split_levels(np.abs(amplitudes) ** 2, _TAIL)
-    workers = entanglement._worker_count()
-    block = max(1, min(_BLOCK_BYTES // (16 * kept * kept), -(-len(taus) // workers)))
-
-    def stack(start: int) -> np.ndarray:
-        rows = kerr_evolve(amplitudes, taus[start:start + block])
-        _check_finite(rows, f"state of {label}")  # a huge tau overflows
-        return split_amplitudes(rows, kept)
-
-    out = entanglement_entropies(partial(stack, start) for start in range(0, len(taus), block))
-    _check_finite(out, f"entropy of {label}")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # local-minimum detection and rational annotation
 
 def _prominent_minima(values: np.ndarray, floor: float = MINIMUM_PROMINENCE) -> list[int]:
@@ -365,7 +319,8 @@ def run_entropy_curve(config: ScenarioConfig) -> Table:
     init = config.initial
     amplitudes = build_initial_state(init, policy=config.cutoff, dim_cap=config.dim_cap)
     grid = config.time_grid.values()
-    column = _entropy_column(amplitudes, grid, _label(init))
+    column = entropy_curve(amplitudes, grid)
+    _check_finite(column, f"entropy of {_label(init)}")
     taus, entropies = grid.tolist(), column.tolist()
     local_min, revival_p, revival_q = [0] * len(taus), [None] * len(taus), [None] * len(taus)
     minima = []
@@ -394,8 +349,11 @@ def run_entropy_surface(config: ScenarioConfig) -> Table:
     states = [build_initial_state(spec, policy=config.cutoff, dim_cap=config.dim_cap)
               for spec in specs]
     n_cuts = [len(amplitudes) - 1 for amplitudes in states]
-    grid = np.column_stack([_entropy_column(amplitudes, taus, _label(spec))
-                            for spec, amplitudes in zip(specs, states)])
+    curves = []
+    for spec, amplitudes in zip(specs, states):
+        curves.append(entropy_curve(amplitudes, taus))
+        _check_finite(curves[-1], f"entropy of {_label(spec)}")
+    grid = np.column_stack(curves)
     entropies = grid.ravel().tolist()
     columns = {"tau": np.repeat(taus, len(nus)).tolist(), "entropy_ebits": entropies,
                "nu": nus * len(taus), "n_cut": n_cuts * len(taus)}
@@ -436,7 +394,6 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     rows = []
     for spec, amplitudes in zip(specs, states):
         state = kerr_evolve(amplitudes, chan.tau)
-        _check_finite(state, f"state of {_label(spec)}")  # a huge tau overflows
         curve = negativity_decay_curve(state, gamma_taus, chan, config.dim_cap)
         _check_finite([en for _, en in curve], f"log negativity of {_label(spec)}")
         n_cut = len(amplitudes) - 1
@@ -474,7 +431,6 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
         for tau in section.taus:
             what = f"Husimi Q at tau={float(tau):g}"
             state = kerr_evolve(amplitudes, float(tau))
-            _check_finite(state, what)  # a huge tau overflows
             grid = husimi_q(state, half_width=section.half_width,
                             resolution=section.resolution, dim_cap=config.dim_cap)
             _check_finite(grid.values, what)

@@ -7,9 +7,8 @@ from scipy.special import gammaln
 
 from kerrsplit.beamsplitter import _kept_split_levels, output_at_time, split_amplitudes
 from kerrsplit.decoherence import _EN_TAIL
-from kerrsplit.entanglement import entanglement_entropy
+from kerrsplit.entanglement import _TAIL, entanglement_entropy
 from kerrsplit.fock import (
-    _TAIL,
     InitialStateSpec,
     _coherent_amplitudes,
     _kept_mode_levels,

@@ -333,8 +333,8 @@ BAD_INPUTS = {
     "husimi-tau-1e308": (["husimi"], {"husimi": {"taus": [1e308], "resolution": 21}}, 2),
 }
 # rows whose Kerr or coherent phase overflows: the builder refuses the coherent
-# phase once it has chosen the cutoff, and the runners the Kerr-evolved state, so
-# both reach the cutoff
+# phase once it has chosen the cutoff, and kerr_evolve the Kerr phase of the
+# built state, so both reach the cutoff
 OVERFLOWING = {"decohere-tau-1e308", "decohere-theta-1e308", "entropy-theta-1e308",
                "entropy-tau-1e308", "husimi-tau-1e308"}
 

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrsplit import entanglement
 from kerrsplit.beamsplitter import output_at_time, split_amplitudes
 from kerrsplit.entanglement import (
-    entanglement_entropies,
     entanglement_entropy,
+    entropy_curve,
     log_negativity,
     partial_transpose,
     pure_state_log_negativity,
     schmidt_spectrum,
     von_neumann_entropy,
 )
-from kerrsplit.fock import InitialStateSpec, choose_cutoff
+from kerrsplit.fock import InitialStateSpec, build_initial_state, choose_cutoff
 
 from test_decoherence import pure_to_density
 
@@ -232,14 +231,6 @@ def test_entropy_lies_between_zero_and_log2_d(nu, m, theta, tau):
     assert 0.0 <= _entropy_at(nu, m, theta, tau) <= math.log2(d)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_entropies_of_blocks_join_each_stack_in_order(monkeypatch, workers):
-    """Serial or on the pool, each block's stack gives the entropies that
-    entanglement_entropy gives it, in block order; no blocks give none."""
-    monkeypatch.setattr(entanglement, "_worker_count", lambda: workers)
-    rng = np.random.default_rng(7)
-    stacks = [rng.normal(size=(t, 6, 6)) + 1j * rng.normal(size=(t, 6, 6)) for t in (3, 1, 4, 2)]
-    got = entanglement_entropies(lambda stack=stack: stack for stack in stacks)
-    want = np.concatenate([entanglement_entropy(stack) for stack in stacks])
-    assert got.tobytes() == want.tobytes()
-    assert entanglement_entropies([]).shape == (0,)
+def test_entropy_curve_of_no_taus_is_empty():
+    c = build_initial_state(InitialStateSpec(nu=5.0, m=2))
+    assert entropy_curve(c, []).shape == (0,)

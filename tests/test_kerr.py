@@ -152,6 +152,14 @@ def test_phase_rows_match_single_times():
     assert np.array_equal(kerr_evolve(st, [1.0, 2.0, -3.0]), np.tile(st, (3, 1)))
 
 
+@pytest.mark.parametrize("taus", [1e308, [0.5, -1e308]])
+def test_an_overflowing_phase_is_refused_before_numpy_warns(taus):
+    """(d-1)(d-2)*max|tau| overflows at 1e308; the suite turns any numpy
+    warning into an error, so the refusal must come first."""
+    with pytest.raises(InfeasibleScenarioError, match="gave a non-finite result$"):
+        kerr_evolve(coherent5(), taus)
+
+
 def test_reconstruction_refuses_a_cutoff_over_the_cap():
     sup = fractional_revival_superposition(ALPHA5, 1, 2)
     with pytest.raises(InfeasibleScenarioError, match="1000001 x 1000001"):

@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from kerrsplit import entanglement, fock, sweep
 from kerrsplit.entanglement import (
+    _BLOCK_BYTES,
     _ENTROPY_FLOOR,
+    _TAIL,
     entanglement_entropy,
+    entropy_curve,
     pure_state_log_negativity,
     schmidt_spectrum,
     von_neumann_entropy,
@@ -21,7 +24,6 @@ from kerrsplit.decoherence import ChannelParams, negativity_decay_curve
 from kerrsplit.fock import InitialStateSpec, _dim_lower_bound, build_initial_state, choose_cutoff
 from kerrsplit.kerr import kerr_evolve
 from kerrsplit.sweep import (
-    _BLOCK_BYTES,
     ChannelSection,
     ConfigError,
     GridSpec,
@@ -457,7 +459,7 @@ def test_run_husimi_requires_taus(tmp_path):
 def kept_levels(nu, m):
     """Each output mode's kept levels, from the untrimmed oracle's marginals."""
     mass = np.abs(output_at_time(InitialStateSpec(nu=nu, m=m), 0.0)) ** 2
-    return max(fock._kept_mode_levels(mass, fock._TAIL))
+    return max(fock._kept_mode_levels(mass, _TAIL))
 
 
 def block_rows(nu, m):
@@ -468,7 +470,7 @@ def block_rows(nu, m):
 # The curve runs on each mode's kept levels, which drop under 1e-16 of its
 # photon-number mass; against the untrimmed pipeline that moves E(tau) by at
 # most 5.7e-14 (measured over 1000 tau for nu = 0..40, m = 0..5), within the
-# bound in the fock docstring.
+# bound in the entanglement docstring.
 TRIM_BOUND = 1e-12
 
 
@@ -498,13 +500,13 @@ def test_batched_curve_equals_pointwise_pipeline(nu, m, start, stop, length):
 @settings(max_examples=200, deadline=None)
 @given(nu=st.floats(0.0, 25.0), m=st.integers(0, 6), tau=st.floats(0.0, 1.0))
 def test_pure_trim_stays_within_its_error_bound(nu, m, tau):
-    """The fock docstring's bound on the pure trim at its tail t, a tenth of
-    the entropy floor: the kept block's Schmidt weights lie termwise below
-    the untrimmed ones and sum to at most 2t less, and the entropy moves by
-    at most Fannes' two terms plus eta(floor) for each weight carried across
-    the floor, counted from both spectra as von_neumann_entropy normalizes
-    them.  The weights themselves are compared up to the d * eps roundoff of
-    a backward-stable SVD (about a fifth of it was seen)."""
+    """The entanglement docstring's bound on the pure trim at its tail t, a
+    tenth of the entropy floor: the kept block's Schmidt weights lie termwise
+    below the untrimmed ones and sum to at most 2t less, and the entropy moves
+    by at most Fannes' two terms plus eta(floor) for each weight carried
+    across the floor, counted from both spectra as von_neumann_entropy
+    normalizes them. The weights themselves are compared up to the d * eps
+    roundoff of a backward-stable SVD (about a fifth of it was seen)."""
     amplitudes = build_initial_state(InitialStateSpec(nu=nu, m=m))
     row = kerr_evolve(amplitudes, tau)
     lam = schmidt_spectrum(split_amplitudes(row))
@@ -584,16 +586,15 @@ def test_dim_lower_bound_never_exceeds_the_cutoff(nu, m, tail_tol, safety_margin
 
 def test_blocks_bound_the_amplitude_stack(monkeypatch):
     shapes = []
-    real = sweep.split_amplitudes
+    real = entanglement.split_amplitudes
 
     def recording(rows, kept=None):
         out = real(rows, kept)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(sweep, "split_amplitudes", recording)
-    cfg = small_config(initial=InitialStateSpec(nu=20.0), time_grid=GridSpec(0.0, 1.0, 50))
-    run_entropy_curve(cfg)
+    monkeypatch.setattr(entanglement, "split_amplitudes", recording)
+    entropy_curve(build_initial_state(InitialStateSpec(nu=20.0)), np.linspace(0.0, 1.0, 50))
     d, n = choose_cutoff(20.0, 0) + 1, kept_levels(20.0, 0)
     assert n < d
     trims = [shape for shape in shapes if len(shape) == 2]
@@ -617,7 +618,7 @@ def test_pool_gives_the_serial_column_bitwise(monkeypatch, m, length):
     columns, threads = {}, threading.active_count()
     for workers in (1, 2, 3):
         monkeypatch.setattr(entanglement, "_worker_count", lambda: workers)
-        columns[workers] = sweep._entropy_column(amplitudes, taus, "state")
+        columns[workers] = entropy_curve(amplitudes, taus)
         assert threading.active_count() == threads  # no pool thread outlives the call
     assert len(columns[1]) == steps
     for workers in (2, 3):
@@ -628,7 +629,7 @@ def test_a_failed_block_leaves_the_queued_blocks_unrun(monkeypatch):
     """An error in one pool task ends the curve at once: the blocks still in
     the queue are cancelled, not run before the error is raised."""
     monkeypatch.setattr(entanglement, "_worker_count", lambda: 2)
-    real, calls = sweep.kerr_evolve, []
+    real, calls = entanglement.kerr_evolve, []
 
     def failing_first(amplitudes, taus):
         calls.append(taus[0])
@@ -637,11 +638,11 @@ def test_a_failed_block_leaves_the_queued_blocks_unrun(monkeypatch):
         time.sleep(0.01)
         return real(amplitudes, taus)
 
-    monkeypatch.setattr(sweep, "kerr_evolve", failing_first)
+    monkeypatch.setattr(entanglement, "kerr_evolve", failing_first)
     amplitudes = build_initial_state(InitialStateSpec(nu=20.0))
     taus = np.linspace(0.0, 1.0, 100 * block_rows(20.0, 0))
     with pytest.raises(InfeasibleScenarioError, match="the first block"):
-        sweep._entropy_column(amplitudes, taus, "state")
+        entropy_curve(amplitudes, taus)
     assert len(calls) < 10  # of 100 blocks
 
 
