@@ -19,11 +19,13 @@ sides.  ``_split_density`` drops the splitter's i^k, a local phase on mode d
 that the phase-covariant loss channel and E_N ignore, leaving
 rho[p, k, p', k'] = sigma[p+k, p'+k'] * w[p, k] * w[p', k'] with the
 symmetric weights w[p, k] = |W[p, k]| = sqrt(C(p+k, p) / 2^(p+k)), at the
-leading n levels of each output mode.  The split of a photon-number vector
-P[n] (|c[n]|^2 of a pure state, the diagonal of sigma) is the two-mode mass
-P[p + k] * w[p, k]^2, and ``_kept_split_levels`` trims both output modes
-from it by ``fock._kept_mode_levels``, without building a two-mode
-amplitude: the modes' marginals are equal, so one size fits both.
+leading n levels of each output mode, from the (n, n) gather alone.
+The split of a photon-number vector P[n] (|c[n]|^2 of a pure state, the
+diagonal of sigma) gives each output mode the same marginal, P thinned at
+1/2: marginal[p] = sum_k P[p+k] * w[p, k]^2.  ``_kept_split_levels`` sums it
+in log space with O(d) memory and trims both modes by ``fock._kept_levels``
+of it, so choosing a kept size builds no two-mode array.  Only
+``split_amplitudes`` at every level builds a (d, d) table.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ import math
 
 import numpy as np
 
-from .fock import (
-    InitialStateSpec,
-    _kept_mode_levels,
-    build_initial_state,
-    check_int,
-    log_factorials,
-)
+from .fock import InitialStateSpec, _kept_levels, build_initial_state, check_int, log_factorials
 from .kerr import kerr_evolve
 
 __all__ = ["output_at_time", "split_amplitudes"]
@@ -48,8 +44,14 @@ _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k for k mod 4
 _LN2 = math.log(2.0)
 
 
-# An entropy curve or surface column uses two keys: (dim, dim) for its trim
-# and (dim, kept) for its blocks; a loss curve uses (dim, dim).
+def _log_split_weight(lgfact: np.ndarray, p, k):
+    """ln w[p, k]^2 = ln C(p+k, p) - (p+k) ln 2, from the ln n! table."""
+    n = p + k
+    return lgfact[n] - lgfact[p] - lgfact[k] - n * _LN2
+
+
+# An entropy curve or surface column uses one key, (dim, kept); a loss curve
+# uses (dim, dim) at gamma*tau = 0 and then (dim, n) at each damped point.
 @functools.lru_cache(maxsize=2)
 def _splitter_gather(dim: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather index and weights of the splitter from input levels 0..dim-1
@@ -62,8 +64,7 @@ def _splitter_gather(dim: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.full((kept, kept), dim - 1)
     index[p, k] = p + k
     weights = np.zeros((kept, kept), dtype=complex)
-    lgfact, n = log_factorials(dim), p + k
-    weights[p, k] = np.exp(0.5 * (lgfact[n] - lgfact[p] - lgfact[k] - n * _LN2)) * _I_POW[k % 4]
+    weights[p, k] = np.exp(0.5 * _log_split_weight(log_factorials(dim), p, k)) * _I_POW[k % 4]
     index.setflags(write=False)
     weights.setflags(write=False)
     return index, weights
@@ -95,9 +96,9 @@ def _split_density(sigma: np.ndarray, n: int) -> np.ndarray:
     """The split state rho[p, k, p', k'] = sigma[p+k, p'+k'] * w[p, k] * w[p', k']
     of the (d, d) single-mode ``sigma`` at n levels per mode, without the
     splitter's i^k (module docstring); real when ``sigma`` is."""
-    index, weights = _splitter_gather(len(sigma), len(sigma))
-    flat = index[:n, :n].ravel()
-    wf = np.abs(weights[:n, :n]).ravel()
+    index, weights = _splitter_gather(len(sigma), n)
+    flat = index.ravel()
+    wf = np.abs(weights).ravel()
     rho = sigma[flat][:, flat]
     rho *= wf[:, None]
     rho *= wf
@@ -106,11 +107,14 @@ def _split_density(sigma: np.ndarray, n: int) -> np.ndarray:
 
 def _kept_split_levels(populations: np.ndarray, tail: float) -> int:
     """Kept levels of each output mode of the split of the photon-number
-    vector ``populations``: ``_kept_mode_levels`` of the split mass at
-    ``tail``, the larger of the two (module docstring)."""
-    index, weights = _splitter_gather(len(populations), len(populations))
-    w = np.abs(weights)
-    return max(_kept_mode_levels(populations[index] * w * w, tail))
+    vector ``populations``: ``_kept_levels`` at ``tail`` of the modes' one
+    marginal, summed over the other mode's count k (module docstring)."""
+    d = len(populations)
+    lgfact = log_factorials(d)
+    marginal, p = np.zeros(d), np.arange(d)
+    for k in range(d):
+        marginal[:d - k] += populations[k:] * np.exp(_log_split_weight(lgfact, p[:d - k], k))
+    return _kept_levels(marginal, tail)
 
 
 def output_at_time(initial: InitialStateSpec, tau: float, n_cut: int | None = None) -> np.ndarray:

@@ -32,8 +32,9 @@ The split of the damped sigma', ``beamsplitter._split_density``, drops the
 splitter's i^k, a local phase on mode d that the phase-covariant channel
 and E_N ignore.  Each mode keeps the fewest leading levels whose marginal
 mass beyond them is below ``_EN_TAIL``, by the rule of the Fock cutoff,
-from the split of the diagonal of sigma' (``beamsplitter._kept_split_levels``);
-after an excess rate the diagonal of rho trims them again.  The error in
+from the O(d) marginal of the diagonal of sigma' after the split
+(``beamsplitter._kept_split_levels``); after an excess rate
+``_kept_mode_levels`` trims them again from the diagonal of rho.  The error in
 E_N is O(sqrt(_EN_TAIL)) by the gentle-measurement lemma (Winter 1999), and
 up to about 2 * sqrt(_EN_TAIL) in practice: at a coherent input with
 tau = 0 and little loss, where the E_N of about 1e-8 is all the Fock
@@ -70,7 +71,14 @@ import numpy as np
 
 from .beamsplitter import _kept_split_levels, _split_density, split_amplitudes
 from .entanglement import log_negativity, partial_transpose, pure_state_log_negativity
-from .fock import DEFAULT_DIM_CAP, _kept_mode_levels, check_dim_cap, check_real, log_factorials
+from .fock import (
+    DEFAULT_DIM_CAP,
+    _kept_levels,
+    check_amplitudes,
+    check_dim_cap,
+    check_real,
+    log_factorials,
+)
 
 __all__ = [
     "ChannelParams",
@@ -119,6 +127,13 @@ def _check_loss_cap(amplitudes: np.ndarray, dim_cap: int, what: str) -> None:
     bounds n^2 from above."""
     d = len(amplitudes)
     check_dim_cap(d * d, dim_cap, what)
+
+
+def _kept_mode_levels(mass: np.ndarray, tail: float) -> tuple[int, int]:
+    """Kept levels of modes c and d of a two-mode state whose photon-number
+    mass is mass[p, k] (rho[p, k, p, k]): ``_kept_levels`` of each mode's
+    marginal at ``tail``."""
+    return _kept_levels(mass.sum(axis=1), tail), _kept_levels(mass.sum(axis=0), tail)
 
 
 def _damp_mode(rho: np.ndarray, g: float, axes: tuple[int, int]) -> np.ndarray:
@@ -176,20 +191,14 @@ def negativity_decay_curve(
     output of the single-mode ``amplitudes`` c (vacuum in the second port).
 
     The abscissa is gamma1 * tau (the paper-style axis; with equal couplings
-    it is the common gamma*tau).  ``amplitudes`` must be a finite 1-D array
-    with a finite, nonzero norm, and are normalised first, so the curve of
-    any multiple of c is that of c.  Both input rules of the module
+    it is the common gamma*tau).  ``amplitudes`` must pass
+    ``fock.check_amplitudes`` and are normalised first, so the curve of any
+    multiple of c is that of c.  Both input rules of the module
     docstring run before any work, so infeasible inputs fail fast: the cap,
     ``_check_loss_cap``, and the gamma*tau rule,
     ``ChannelParams._damping_times``, whose tau each damped point uses.
     """
-    c = np.asarray(amplitudes, dtype=complex)
-    if c.ndim != 1 or not np.isfinite(c).all():
-        raise ValueError(f"amplitudes must be a finite 1-D array, got shape {c.shape}")
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        norm = (np.abs(c) ** 2).sum()
-    if not 0.0 < norm < math.inf:
-        raise ValueError("amplitudes must have a finite, nonzero norm")
+    c, norm = check_amplitudes(amplitudes)
     c = c / math.sqrt(norm)
     _check_loss_cap(c, dim_cap, "two-mode density matrix")
     times = params._damping_times(gamma_tau_values)

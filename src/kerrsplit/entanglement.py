@@ -12,9 +12,9 @@ the input amplitudes c after Kerr evolution and the splitter, at every tau
 of a curve.  Kerr evolution is diagonal in photon number, so each output
 mode's marginal is the same at every tau and equal between the modes; the
 curve trims both modes once, by ``beamsplitter._kept_split_levels`` of
-|c|^2 at ``_TAIL``, with no two-mode amplitude built, and
-``split_amplitudes`` then builds only the (kept, kept) block of each tau,
-so the SVDs run at the state's natural size (47 of 65 levels at nu = 20).
+|c|^2 at ``_TAIL``, in O(d) memory, and ``split_amplitudes`` then builds
+only the (kept, kept) block of each tau, so no (d, d) array is built and
+the SVDs run at the state's natural size (47 of 65 levels at nu = 20).
 
 ``_TAIL`` = 1e-16 is a tenth of ``_ENTROPY_FLOOR`` (1e-15), below which
 ``von_neumann_entropy`` already drops a Schmidt weight.  With t = ``_TAIL``,
@@ -54,6 +54,7 @@ import os
 import numpy as np
 
 from .beamsplitter import _kept_split_levels, split_amplitudes
+from .fock import check_amplitudes
 from .kerr import kerr_evolve
 
 __all__ = [
@@ -128,10 +129,13 @@ def entropy_curve(amplitudes: np.ndarray, taus) -> np.ndarray:
     ``amplitudes`` after Kerr evolution and the splitter: equal to
     entanglement_entropy(split_amplitudes(kerr_evolve(amplitudes, tau)))
     point by point up to the trim's bound (module docstring), run on each
-    output mode's kept levels in blocks of at most ``_BLOCK_BYTES``.  On
-    the thread pool each block runs in a copy of the caller's context, and
-    an error or an interrupt ends the call without running the blocks still
-    queued."""
+    output mode's kept levels in blocks of at most ``_BLOCK_BYTES``.
+    ``amplitudes`` pass ``fock.check_amplitudes`` before any work, as the
+    loss curve's do, but are not normalised: the entropy divides by the
+    Schmidt weights' sum.  On the thread pool each block runs in a copy of
+    the caller's context, and an error or an interrupt ends the call
+    without running the blocks still queued."""
+    amplitudes, _ = check_amplitudes(amplitudes)
     taus = np.asarray(taus, dtype=float)
     kept = _kept_split_levels(np.abs(amplitudes) ** 2, _TAIL)
     workers = _worker_count()

@@ -12,14 +12,10 @@ The builder and ``choose_cutoff`` also own the size rule, d = n_cut + 1 <=
 ``dim_cap``: ``_dim_lower_bound``, which allocates nothing, is checked
 before the tail rule builds its weight array, and the built d after it, so
 a huge ``nu`` or ``n_cut`` is refused at once and no caller keeps a copy.
-One trim call, ``_kept_mode_levels``, applies that rule to each output
-mode's marginal of a two-mode photon-number mass.  Its callers are
-``beamsplitter._kept_split_levels``, which trims the split of a single-mode
-photon-number vector (once per curve in ``entanglement.entropy_curve``, at
-its ``_TAIL``, and at each damped point of the loss curves in
-``decoherence``, at its ``_EN_TAIL``), and ``decoherence``, which trims a
-split state again after an excess loss rate on one mode; each caller names
-its tail.
+The tail rule also trims the output modes of the splitter, in
+``beamsplitter`` and ``decoherence``; each caller names its tail.
+``check_amplitudes`` is the input rule of the entropy and loss curves and
+of the Husimi map: a finite 1-D array with a finite, nonzero norm.
 Factorials and binomials are in log space, from ``log_factorials``, so
 levels near n = 100 stay finite.
 """
@@ -81,6 +77,19 @@ def check_int(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return value
+
+
+def check_amplitudes(amplitudes) -> tuple[np.ndarray, float]:
+    """``amplitudes`` as a complex array and its squared norm, if it is a
+    finite 1-D array with a finite, nonzero norm; ValueError otherwise."""
+    c = np.asarray(amplitudes, dtype=complex)
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValueError(f"amplitudes must be a finite 1-D array, got shape {c.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = float((np.abs(c) ** 2).sum())
+    if not 0.0 < norm < math.inf:
+        raise ValueError("amplitudes must have a finite, nonzero norm")
+    return c, norm
 
 
 @dataclass(frozen=True)
@@ -155,13 +164,6 @@ def _kept_levels(weights: np.ndarray, tail: float) -> int:
     the total, is below ``tail``; at least one."""
     beyond = np.cumsum(weights[:0:-1])[::-1] / weights.sum()  # beyond[k]: above level k
     return int(np.count_nonzero(beyond >= tail)) + 1
-
-
-def _kept_mode_levels(mass: np.ndarray, tail: float) -> tuple[int, int]:
-    """Kept levels of modes c and d of a two-mode state whose photon-number
-    mass is mass[p, k] (|phi[p, k]|^2 for a pure state, rho[p, k, p, k] for a
-    mixed one): ``_kept_levels`` of each mode's marginal at ``tail``."""
-    return _kept_levels(mass.sum(axis=1), tail), _kept_levels(mass.sum(axis=0), tail)
 
 
 def choose_cutoff(

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, check_dim_cap, check_int, check_real, log_factorials
+from .fock import (
+    DEFAULT_DIM_CAP,
+    check_amplitudes,
+    check_dim_cap,
+    check_int,
+    check_real,
+    log_factorials,
+)
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -89,17 +96,12 @@ def husimi_q(
     """Evaluate Q of the state with these Fock amplitudes on a square window
     of the given half-width (default sized from its mean photon number).
 
-    ``amplitudes`` must be a non-empty, finite 1-D array, and a
+    ``amplitudes`` must pass ``fock.check_amplitudes``, and a
     ``resolution`` over ``dim_cap`` raises InfeasibleScenarioError before
     the grid is built."""
     check_int("resolution", resolution, 2)
     _check_grid_cap(resolution, dim_cap)
-    amplitudes = np.asarray(amplitudes)
-    if amplitudes.ndim != 1 or amplitudes.size == 0:
-        raise ValueError(f"amplitudes must be a non-empty 1-D array, got shape "
-                         f"{amplitudes.shape}")
-    if not np.isfinite(amplitudes).all():
-        raise ValueError("amplitudes must be finite")
+    amplitudes, _ = check_amplitudes(amplitudes)
     if half_width is None:
         probs = np.abs(amplitudes) ** 2
         half_width = default_half_width(float(np.dot(np.arange(len(probs)), probs)))

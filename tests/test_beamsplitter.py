@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from kerrsplit.beamsplitter import _kept_split_levels, output_at_time, split_amplitudes
-from kerrsplit.decoherence import _EN_TAIL
+from kerrsplit.decoherence import _EN_TAIL, _damp_mode, _kept_mode_levels
 from kerrsplit.entanglement import _TAIL, entanglement_entropy
 from kerrsplit.fock import (
     InitialStateSpec,
     _coherent_amplitudes,
-    _kept_mode_levels,
     build_initial_state,
     choose_cutoff,
 )
@@ -187,12 +188,48 @@ def test_kept_must_be_a_level_count_from_one_to_d(kept, error):
         split_amplitudes(np.ones(4), kept)
 
 
-@pytest.mark.parametrize("tail", [_TAIL, _EN_TAIL])
-def test_split_trim_equals_the_trim_of_the_full_split(tail):
-    """The trim from the input's photon numbers keeps as many levels as the
-    trim of the full split's |phi|^2, on every state of the grid."""
+@functools.cache
+def split_populations():
+    """The photon-number vectors the trims take, with (nu, m, g) labels: |c|^2
+    of each state of the grid, and at integer nu the diagonal of its damped
+    density matrix, which the loss curves trim, at a few g = gamma*tau."""
+    vectors = []
     for nu in np.arange(81) * 0.5:
         for m in range(7):
             c = build_initial_state(InitialStateSpec(nu, m=m))
-            want = max(_kept_mode_levels(np.abs(split_amplitudes(c)) ** 2, tail))
-            assert _kept_split_levels(np.abs(c) ** 2, tail) == want, (nu, m)
+            vectors.append(((nu, m, 0.0), np.abs(c) ** 2))
+            if nu % 1 == 0:
+                sigma = np.outer(c, c.conj())
+                for g in (0.05, 0.4, 2.0):
+                    vectors.append(((nu, m, g), _damp_mode(sigma, g, (0, 1)).diagonal().real))
+    return vectors
+
+
+@pytest.mark.parametrize("tail", [_TAIL, _EN_TAIL])
+def test_split_trim_equals_the_trim_of_the_full_split(tail):
+    """The trim from a photon-number vector P keeps as many levels as the
+    trim of the full split of sqrt(P): the larger of its two modes' kept
+    levels, from the (d, d) |phi|^2."""
+    for label, populations in split_populations():
+        full = np.abs(split_amplitudes(np.sqrt(populations))) ** 2
+        assert _kept_split_levels(populations, tail) == max(_kept_mode_levels(full, tail)), label
+
+
+@pytest.mark.parametrize("nu, kept", [(1000.0, 695), (3000.0, 1830)])
+def test_split_trim_of_a_large_state(nu, kept):
+    """The kept size at ``_TAIL`` at nu = 1000 and 3000, as the trim of the
+    (d, d) split mass gave it."""
+    assert _kept_split_levels(np.abs(build_initial_state(InitialStateSpec(nu))) ** 2, _TAIL) == kept
+
+
+def test_split_trim_allocates_no_two_mode_array():
+    """At nu = 3000 (d = 3399) the trim stays under 1 MB; a (d, d) table of
+    the split mass alone would take 92 MB."""
+    populations = np.abs(build_initial_state(InitialStateSpec(3000.0))) ** 2
+    tracemalloc.start()
+    try:
+        _kept_split_levels(populations, _TAIL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

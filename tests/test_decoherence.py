@@ -10,6 +10,7 @@ from kerrsplit.decoherence import (
     _EN_TAIL,
     ChannelParams,
     _damp_mode,
+    _kept_mode_levels,
     _split_real_form,
     negativity_decay_curve,
 )
@@ -23,7 +24,6 @@ from kerrsplit.entanglement import (
 from kerrsplit.fock import (
     InfeasibleScenarioError,
     InitialStateSpec,
-    _kept_mode_levels,
     build_initial_state,
 )
 from kerrsplit.kerr import kerr_evolve
@@ -555,6 +555,28 @@ def test_log_negativity_does_not_depend_on_theta(nu, m, tau, theta, gamma2):
         return [en for _, en in negativity_decay_curve(c, gamma_taus, params)]
 
     assert np.max(np.abs(np.subtract(curve(theta), curve(0.0)))) < 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nu=st.floats(0.0, 3.0),
+    m=st.integers(0, 3),
+    tau=st.floats(0.0, 1.0),
+    gamma2=st.sampled_from([0.1, 0.3]),
+)
+def test_log_negativity_is_symmetric_about_half_revival(nu, m, tau, gamma2):
+    """n(n-1) is even, so the state at 1 - tau is the conjugate of the state
+    at tau up to the rotation exp(2i*theta*N), a local phase after the
+    splitter; conjugation and the phase-covariant loss keep the spectrum of
+    the partial transpose, so E_N(1 - tau) = E_N(tau), at equal and at
+    unequal rates."""
+    params = ChannelParams(gamma1=0.1, gamma2=gamma2)
+    gamma_taus = [0.0, 0.2, 0.7]
+
+    def curve(t):
+        return [en for _, en in negativity_decay_curve(kerr_state(nu, m, t), gamma_taus, params)]
+
+    assert np.max(np.abs(np.subtract(curve(1.0 - tau), curve(tau)))) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)

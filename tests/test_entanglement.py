@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kerrsplit.beamsplitter import output_at_time, split_amplitudes
+from kerrsplit.decoherence import negativity_decay_curve
 from kerrsplit.entanglement import (
     entanglement_entropy,
     entropy_curve,
@@ -234,3 +235,21 @@ def test_entropy_lies_between_zero_and_log2_d(nu, m, theta, tau):
 def test_entropy_curve_of_no_taus_is_empty():
     c = build_initial_state(InitialStateSpec(nu=5.0, m=2))
     assert entropy_curve(c, []).shape == (0,)
+
+
+@pytest.mark.parametrize("curve", [
+    lambda c: entropy_curve(c, [0.0, 0.25]),
+    lambda c: negativity_decay_curve(c, [0.0, 0.5]),
+], ids=["entropy", "negativity"])
+@pytest.mark.parametrize("amplitudes", [
+    np.array([1.0, np.nan]),
+    np.zeros(4),
+    np.ones((2, 3)) / math.sqrt(6.0),
+    np.zeros(0),
+    np.full(2, 1e300),
+], ids=["nan", "zeros", "2d", "empty", "norm-overflows"])
+def test_entropy_and_loss_curves_refuse_the_same_amplitudes(curve, amplitudes):
+    """Both curves name the amplitudes, before any trim, warning or numpy
+    error, when they are not a finite 1-D array with a finite, nonzero norm."""
+    with pytest.raises(ValueError, match="amplitudes"):
+        curve(amplitudes)

@@ -76,6 +76,19 @@ def test_rotational_covariance():
     assert abs((angle1 - angle0) - 0.9) < 0.05
 
 
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(0.0, 5.0), m=st.integers(0, 3), tau=st.floats(0.0, 1.0))
+def test_husimi_map_at_one_minus_tau_is_the_reflected_map(nu, m, tau):
+    """The state at 1 - tau is the conjugate of the state at tau up to the
+    rotation exp(2i*theta*N), so Q_{1-tau}(beta) = Q_tau(conj(beta) e^{2i theta}):
+    on the square grid x = p, the transpose at theta = pi/4 and p flipped at
+    theta = 0."""
+    for theta, reflect in ((math.pi / 4, np.transpose), (0.0, lambda v: v[:, ::-1])):
+        c = build_initial_state(InitialStateSpec(nu=nu, theta=theta, m=m))
+        at, mirrored = (husimi_q(kerr_evolve(c, t), resolution=41).values for t in (tau, 1.0 - tau))
+        assert np.max(np.abs(mirrored - reflect(at))) < 1e-13
+
+
 def test_n_max_estimate_values():
     assert abs(n_max_estimate(math.sqrt(5.0)) - 4.62) < 0.01
     assert n_max_estimate(0.0) == 0.0
@@ -423,9 +436,11 @@ def test_husimi_q_refuses_a_grid_over_the_cap():
     assert husimi_q(vacuum(3), resolution=100, dim_cap=100).values.shape == (100, 100)
 
 
-# each once gave numpy's unnamed TypeError, an all-zero grid or a NaN grid
-@pytest.mark.parametrize("amplitudes", [np.ones((2, 2)), np.array([]), [math.nan, 1.0]],
-                         ids=["2-d", "empty", "nan"])
+# each once gave numpy's unnamed TypeError, an all-zero grid, a NaN grid or
+# an overflow warning
+@pytest.mark.parametrize("amplitudes", [np.ones((2, 2)), np.array([]), [math.nan, 1.0],
+                                        np.zeros(3), np.full(2, 1e300)],
+                         ids=["2-d", "empty", "nan", "zeros", "norm-overflows"])
 def test_husimi_q_names_bad_amplitudes(amplitudes):
     with pytest.raises(ValueError, match="amplitudes"):
         husimi_q(amplitudes, resolution=5)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrsplit import entanglement, fock, sweep
+from kerrsplit import decoherence, entanglement, fock, sweep
 from kerrsplit.entanglement import (
     _BLOCK_BYTES,
     _ENTROPY_FLOOR,
@@ -459,7 +459,7 @@ def test_run_husimi_requires_taus(tmp_path):
 def kept_levels(nu, m):
     """Each output mode's kept levels, from the untrimmed oracle's marginals."""
     mass = np.abs(output_at_time(InitialStateSpec(nu=nu, m=m), 0.0)) ** 2
-    return max(fock._kept_mode_levels(mass, _TAIL))
+    return max(decoherence._kept_mode_levels(mass, _TAIL))
 
 
 def block_rows(nu, m):
