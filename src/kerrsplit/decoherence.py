@@ -50,7 +50,8 @@ than keeping copies.  ``ChannelParams._damping_times`` owns gamma*tau: each
 value must be a finite number >= 0, a value above 0 needs gamma1 > 0, and
 both damping exponents, at most max(gamma1, gamma2) * gamma*tau / gamma1,
 must be finite; it returns each point's tau.  ``_check_loss_cap`` owns the
-cap: d^2 <= ``dim_cap`` for the d input levels.
+cap: max(d, n0^2) <= ``dim_cap`` for the d input levels and the n0 levels
+per mode that the undamped split keeps.
 
 Both routes gather rho from sigma' with ``_split_density``.  At equal
 rates rho is swap invariant, so its partial transpose X = A + iB is
@@ -101,9 +102,12 @@ class ChannelParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def _damping_times(self, gamma_tau_values) -> list[tuple[float, float]]:
-        """(gamma*tau, tau = gamma*tau / gamma1) for each value.  A ValueError
-        names the quantity when a value is not a finite number >= 0, is above
-        0 while gamma1 = 0, or makes max(gamma1, gamma2) * tau overflow."""
+        """(gamma*tau, tau = gamma*tau / gamma1) for each of the sequence
+        ``gamma_tau_values``.  A ValueError names the quantity when a value is
+        not a finite number >= 0, is above 0 while gamma1 = 0, or makes
+        max(gamma1, gamma2) * tau overflow."""
+        if not np.iterable(gamma_tau_values):
+            raise TypeError(f"gamma_tau_values must be a sequence, got {gamma_tau_values!r}")
         times = []
         for g in gamma_tau_values:
             g = float(check_real("gamma_tau", g))
@@ -121,12 +125,16 @@ class ChannelParams:
 
 
 def _check_loss_cap(amplitudes: np.ndarray, dim_cap: int, what: str) -> None:
-    """The loss path's cap: refuse d^2 > ``dim_cap`` for the d input
-    ``amplitudes``.  The path builds the d x d single-mode density matrix and
-    partial transposes of side n^2, n <= d the kept levels per mode, so d^2
-    bounds n^2 from above."""
-    d = len(amplitudes)
-    check_dim_cap(d * d, dim_cap, what)
+    """The loss path's cap: refuse max(d, n0^2) > ``dim_cap`` for the d input
+    ``amplitudes``, d first.  The path builds the d x d single-mode density
+    matrix sigma, the (d, d) split state at gamma*tau = 0, and at each damped
+    point a partial transpose of side n^2, n the kept levels per mode.  Loss
+    only thins the photon-number distribution, so no damped point keeps more
+    than n0 = ``_kept_split_levels`` of |c|^2 at ``_EN_TAIL``, read from the
+    O(d) marginal with no two-mode array built."""
+    check_dim_cap(len(amplitudes), dim_cap, what)
+    n0 = _kept_split_levels(np.abs(amplitudes) ** 2, _EN_TAIL)
+    check_dim_cap(n0 * n0, dim_cap, what)
 
 
 def _kept_mode_levels(mass: np.ndarray, tail: float) -> tuple[int, int]:
@@ -200,7 +208,7 @@ def negativity_decay_curve(
     """
     c, norm = check_amplitudes(amplitudes)
     c = c / math.sqrt(norm)
-    _check_loss_cap(c, dim_cap, "two-mode density matrix")
+    _check_loss_cap(c, dim_cap, "loss curve")
     times = params._damping_times(gamma_tau_values)
     sigma = np.outer(c, c.conj())
     slow, fast = sorted((params.gamma1, params.gamma2))

@@ -137,6 +137,8 @@ def entropy_curve(amplitudes: np.ndarray, taus) -> np.ndarray:
     without running the blocks still queued."""
     amplitudes, _ = check_amplitudes(amplitudes)
     taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError(f"taus must be a 1-D sequence, got shape {taus.shape}")
     kept = _kept_split_levels(np.abs(amplitudes) ** 2, _TAIL)
     workers = _worker_count()
     block = max(1, min(_BLOCK_BYTES // (16 * kept * kept), -(-len(taus) // workers)))

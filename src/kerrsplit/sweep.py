@@ -11,13 +11,15 @@ Scenarios are plain JSON documents.  Every pipeline stage is deterministic
 (there is no randomness anywhere), so identical configs produce byte-identical
 CSV files.
 
-Every runner builds each input state once, with
-``build_initial_state(spec, policy=config.cutoff, dim_cap=config.dim_cap)``,
-and hands its amplitudes down; n_cut is their length less one.  The builder
-owns the size rule d <= ``dim_cap`` and ``husimi`` owns the grid's, which
-``run_husimi`` applies with ``_check_grid_cap`` before it builds its state,
-so no runner keeps a copy of either.  A runner builds all its states before
-any heavy work.  An entropy curve, and each nu column of a surface, is one
+Each config section checks only its own fields.  A rule between two
+fields is checked by the runner that reads both, before it builds a state:
+``run_entropy_surface`` the tau x nu product, ``run_decoherence_scan`` the
+rates against its gamma*tau axis, ``run_husimi`` the grid against
+``dim_cap`` (``husimi._check_grid_cap``).  Every runner builds each input
+state once, with ``build_initial_state(spec, policy=config.cutoff,
+dim_cap=config.dim_cap)``, which owns the size rule d <= ``dim_cap``, and
+hands its amplitudes down; n_cut is their length less one.  A runner builds
+all its states before any heavy work.  An entropy curve, and each nu column of a surface, is one
 call of ``entanglement.entropy_curve``, as a loss curve is one call of
 ``decoherence.negativity_decay_curve``; its numbers do not depend on the
 CPU count, so the CSVs are the same bytes on any number of CPUs.
@@ -167,10 +169,8 @@ class ChannelSection(ChannelParams):
     """Loss-channel part of a scenario: the rates gamma1 and gamma2, with
     their check, from ``ChannelParams``, then the gamma*tau axis, the revival
     fraction feeding the splitter, and which photon-addition numbers to scan
-    (``gamma_tau_grid`` may also be a dict of GridSpec fields).  The rates'
-    gamma*tau rule, ``ChannelParams._damping_times``, runs when the section
-    is built on the axis a scan reads: the grid's ends when a grid is set,
-    ``gamma_tau`` otherwise."""
+    (``gamma_tau_grid`` may also be a dict of GridSpec fields), each field
+    checked on its own."""
 
     gamma_tau_grid: GridSpec | None = GridSpec(0.0, 1.0, 51)
     gamma_tau: float = 0.3
@@ -187,8 +187,6 @@ class ChannelSection(ChannelParams):
         _check_non_negative_ends("gamma_tau_grid", self.gamma_tau_grid)
         if check_real("gamma_tau", self.gamma_tau) < 0:
             raise ValueError(f"gamma_tau must be >= 0, got {self.gamma_tau!r}")
-        grid = self.gamma_tau_grid
-        self._damping_times((grid.start, grid.stop) if grid else (self.gamma_tau,))
         object.__setattr__(self, "m_values", _as_tuple("m_values", self.m_values))
         for m in self.m_values:
             check_int("m_values", m, 0)
@@ -214,7 +212,7 @@ class ScenarioConfig:
     time_grid: GridSpec = GridSpec(0.0, 1.0, 1000)
     nu_grid: GridSpec | None = None
     husimi: HusimiSection = HusimiSection()
-    channel: ChannelSection | None = None
+    channel: ChannelSection = ChannelSection()
     cutoff: CutoffPolicy = CutoffPolicy()
     q_max: int = 12
     dim_cap: int = DEFAULT_DIM_CAP
@@ -226,13 +224,8 @@ class ScenarioConfig:
         if any(sep and sep in self.name for sep in ("/", os.sep, os.altsep, "\0")):
             raise ValueError(f"name must not contain a path separator or NUL, got {self.name!r}")
         for name, cls in _SECTIONS.items():
-            _check_type(name, getattr(self, name), cls,
-                        optional=name in ("nu_grid", "channel"))
+            _check_type(name, getattr(self, name), cls, optional=name == "nu_grid")
         _check_non_negative_ends("nu_grid", self.nu_grid)
-        points = self.time_grid.steps * (self.nu_grid.steps if self.nu_grid else 0)
-        if points > MAX_GRID_POINTS:
-            raise ValueError(f"time_grid.steps * nu_grid.steps must be <= {MAX_GRID_POINTS}, "
-                             f"got {points}")
         check_int("q_max", self.q_max, 1)
         check_int("dim_cap", self.dim_cap, 1)
 
@@ -342,6 +335,10 @@ def run_entropy_surface(config: ScenarioConfig) -> Table:
     """Entropy over the (tau, nu) product grid, tau-major row order."""
     if config.nu_grid is None:
         raise ConfigError("nu_grid: required for an entropy surface")
+    points = config.time_grid.steps * config.nu_grid.steps
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"time_grid.steps * nu_grid.steps must be <= {MAX_GRID_POINTS}, "
+                          f"got {points}")
     init = config.initial
     taus = config.time_grid.values()
     nus = config.nu_grid.values().tolist()
@@ -363,19 +360,18 @@ def run_entropy_surface(config: ScenarioConfig) -> Table:
 
 
 def run_decoherence_scan(config: ScenarioConfig) -> Table:
-    """Log-negativity curves under photon loss (channel defaults to
-    ChannelSection()).
+    """Log-negativity curves under photon loss.
 
     With a gamma_tau grid: one E_N(gamma*tau) curve per configured m.  With a
-    nu grid and a fixed gamma_tau: E_N(nu) per configured m.  The section's
-    rates were checked against its gamma*tau values when it was built.  All
+    nu grid and a fixed gamma_tau: E_N(nu) per configured m.  The rates are
+    checked against those gamma*tau values before any state is built.  All
     states are built, and each is held to the loss path's cap
     (``decoherence._check_loss_cap``), before any curve runs, so a
     violation fails before any heavy work, naming the offending (nu, m).
     The header and summary state gamma1, gamma2, the revival tau and, with
     a nu grid, the fixed gamma*tau.
     """
-    chan = ChannelSection() if config.channel is None else config.channel
+    chan = config.channel
     init = config.initial
     m_values = chan.m_values if chan.m_values else (init.m,)
     by_gamma_tau = chan.gamma_tau_grid is not None
@@ -385,6 +381,8 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
         nus, gamma_taus = config.nu_grid.values().tolist(), [chan.gamma_tau]
     else:
         raise ConfigError("channel: need gamma_tau_grid, or nu_grid plus a fixed gamma_tau")
+    with config_errors("channel"):
+        chan._damping_times(gamma_taus)
     specs = [replace(init, nu=nu, m=m) for m in m_values for nu in nus]
     states = [build_initial_state(spec, policy=config.cutoff, dim_cap=config.dim_cap)
               for spec in specs]

@@ -195,6 +195,48 @@ def test_decohere_runs_a_grid_only_channel_with_gamma1_zero(tmp_path):
     assert curve["initial"] == curve["final"] > 0
 
 
+# channel sections whose rates cannot reach the default gamma*tau grid
+UNREACHABLE_CHANNELS = {"gamma1-zero": {"gamma1": 0.0},
+                        "rates-overflow": {"gamma1": 1e-300, "gamma2": 1e10}}
+# argv and scenario JSON of each command that reads no channel
+NO_CHANNEL_RUNS = {
+    "entropy": (["entropy", "--tau-steps", "5"], {"initial": {"nu": 1.0}}),
+    "surface": (["surface", "--tau-steps", "3"],
+                {"initial": {"nu": 1.0}, "nu_grid": {"start": 1, "stop": 2, "steps": 2}}),
+    "husimi": (["husimi", "--tau", "0.5", "--resolution", "11"], {"initial": {"nu": 1.0}}),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(UNREACHABLE_CHANNELS))
+@pytest.mark.parametrize("command", sorted(NO_CHANNEL_RUNS))
+def test_commands_that_read_no_channel_ignore_its_rates(tmp_path, command, channel):
+    """Only decohere checks the rates against its gamma*tau axis: the other
+    commands run and write the same bytes with or without the section."""
+    argv, raw = NO_CHANNEL_RUNS[command]
+    outputs = {}
+    for run, scenario in (("plain", raw), ("channel", {
+            **raw, "channel": UNREACHABLE_CHANNELS[channel]})):
+        cfg = tmp_path / f"{run}.json"
+        cfg.write_text(json.dumps({"name": "c", **scenario}))
+        out = tmp_path / run
+        assert run_cli([*argv, "--config", cfg, "--out-dir", out]) == 0
+        outputs[run] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert outputs["plain"] and outputs["channel"] == outputs["plain"]
+
+
+def test_decohere_cap_bounds_the_kept_levels_not_the_input(tmp_path):
+    """At nu = 20, d = 65 (d^2 = 4225) but the undamped split keeps n0 = 53
+    levels per mode (n0^2 = 2809), under the default cap of 4096."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "d", "channel": {
+        "gamma_tau_grid": {"start": 0, "stop": 0.3, "steps": 2}}}))
+    assert run_cli(["decohere", "--nu", "20", "--m", "0", "--config", cfg,
+                    "--out-dir", tmp_path]) == 0
+    summary = json.loads((tmp_path / "d_negativity-vs-gammatau.json").read_text())
+    curve = summary["curves"][0]
+    assert curve["initial"] > curve["final"] >= 0
+
+
 def test_decohere_overflow_names_the_grid_end(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"channel": {
@@ -310,6 +352,9 @@ BAD_INPUTS = {
         gamma1=1e-320, gamma_tau_grid={"start": 0, "stop": 1, "steps": 2}), 1),
     "gamma2-over-gamma1-overflows": (["decohere", "--nu", "0.1"], _channel(
         gamma1=1e-300, gamma2=1e10, gamma_tau_grid={"start": 0, "stop": 1, "steps": 2}), 1),
+    "decohere-gamma1-zero": (["decohere"], {"channel": {"gamma1": 0.0}}, 1),
+    "decohere-rates-overflow": (["decohere"], {"channel": {"gamma1": 1e-300, "gamma2": 1e10}},
+                                1),
     "nu-1e9": (["entropy", "--nu", "1e9", "--tau-steps", "2"], None, 2),
     "m-1e9": (["entropy", "--m", "1000000000", "--tau-steps", "2"], None, 2),
     "tau-steps-1e9": (["entropy", "--tau-steps", "1000000000"], None, 1),

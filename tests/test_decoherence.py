@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import comb, gammaln
 
-from kerrsplit.beamsplitter import _split_density, output_at_time, split_amplitudes
+from kerrsplit.beamsplitter import (
+    _kept_split_levels,
+    _split_density,
+    output_at_time,
+    split_amplitudes,
+)
 from kerrsplit.decoherence import (
     _EN_TAIL,
     ChannelParams,
@@ -310,6 +316,36 @@ def test_unequal_rates():
 def test_dimension_cap_enforced():
     with pytest.raises(InfeasibleScenarioError):
         negativity_decay_curve(np.ones(9, dtype=complex) / 3.0, [0.0], dim_cap=80)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nu=st.floats(0.0, 25.0),
+    m=st.integers(0, 7),
+    gamma_tau=st.one_of(st.floats(1e-300, 1e-3), st.floats(1e-3, 6.0)),
+)
+def test_no_damped_point_keeps_more_levels_than_the_undamped_split(nu, m, gamma_tau):
+    """The loss cap's n0: loss only thins the photon-number distribution, so
+    the kept levels of a damped sigma' never exceed those of |c|^2."""
+    c = build_initial_state(InitialStateSpec(nu=nu, m=m))
+    n0 = _kept_split_levels(np.abs(c) ** 2, _EN_TAIL)
+    damped = _damp_mode(np.outer(c, c.conj()), gamma_tau, (0, 1))
+    assert _kept_split_levels(damped.diagonal().real, _EN_TAIL) <= n0
+
+
+def test_cap_refuses_an_input_longer_than_the_cap_before_building_sigma():
+    """The padded vacuum keeps one level per mode (n0^2 = 1), but its d x d
+    sigma is over the cap, and is refused before it is built."""
+    vacuum = np.zeros(5000, dtype=complex)
+    vacuum[0] = 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleScenarioError, match="5000 x 5000"):
+            negativity_decay_curve(vacuum, [0.0, 0.5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5000 * 5000 * 16 // 100
 
 
 def test_damp_input_validation():

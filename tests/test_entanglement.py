@@ -253,3 +253,16 @@ def test_entropy_and_loss_curves_refuse_the_same_amplitudes(curve, amplitudes):
     error, when they are not a finite 1-D array with a finite, nonzero norm."""
     with pytest.raises(ValueError, match="amplitudes"):
         curve(amplitudes)
+
+
+@pytest.mark.parametrize("curve, times, error, name", [
+    (entropy_curve, 0.5, ValueError, "taus"),
+    (entropy_curve, [[0.1, 0.2]], ValueError, "taus"),
+    (negativity_decay_curve, 0.5, TypeError, "gamma_tau_values"),
+    (negativity_decay_curve, [[0.1, 0.2]], TypeError, "gamma_tau"),
+], ids=["entropy-scalar", "entropy-2d", "negativity-scalar", "negativity-2d"])
+def test_entropy_and_loss_curves_name_a_malformed_time_argument(curve, times, error, name):
+    """A time argument that is not a 1-D sequence is named, not an unnamed
+    TypeError from len() or iteration, nor a silently 2-D result."""
+    with pytest.raises(error, match=name):
+        curve(np.ones(2) / math.sqrt(2.0), times)

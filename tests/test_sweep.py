@@ -99,8 +99,8 @@ def test_config_from_dict_roundtrip():
         ({"channel": [1]}, "channel"),
         ({"channel": {"gamma1": -0.1}}, "gamma1"),
         ({"channel": {"gamma2": -0.1}}, "gamma2"),
-        ({"channel": {"gamma1": 0.0}}, "gamma1"),
-        ({"channel": {"gamma1": 1e-300, "gamma2": 1e10}}, "gamma"),
+        ({"channel": None}, "channel"),
+        ({"husimi": None}, "husimi"),
         ({"channel": {"gamma_tau": -0.3}}, "gamma_tau"),
         ({"channel": {"tau": float("nan")}}, "tau"),
         ({"channel": {"gamma_tau_grid": {"start": 0, "stop": 1, "steps": 0}}}, "gamma_tau_grid"),
@@ -119,6 +119,27 @@ def test_config_errors_name_the_field(raw, needle):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert needle in str(err.value)
+
+
+# rates that cannot reach the default gamma*tau grid, and the word the error names
+UNREACHABLE_RATES = [({"gamma1": 0.0}, "gamma1"), ({"gamma1": 1e-300, "gamma2": 1e10}, "gamma")]
+
+
+@pytest.mark.parametrize("rates, needle", UNREACHABLE_RATES)
+def test_decoherence_scan_checks_the_rates_against_its_axis(rates, needle):
+    """The parser builds the section; the scan, which reads both the rates and
+    the gamma*tau axis, refuses them (the CLI's BAD_INPUTS rows show that it
+    does so before it builds any state)."""
+    cfg = config_from_dict({"channel": rates})
+    with pytest.raises(ConfigError, match=f"channel: .*{needle}"):
+        run_decoherence_scan(cfg)
+
+
+def test_surface_product_is_the_surface_runners_rule():
+    cfg = config_from_dict({"nu_grid": {"start": 1, "stop": 2, "steps": 1001}})
+    assert cfg.time_grid.steps * cfg.nu_grid.steps > sweep.MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match=r"time_grid.steps \* nu_grid.steps"):
+        run_entropy_surface(cfg)
 
 
 def test_config_from_json(tmp_path):
@@ -410,7 +431,7 @@ def test_decoherence_scan_requires_channel():
 
 
 def test_decoherence_scan_names_infeasible_state():
-    # cap chosen between the m=0 requirement (576) and the m=9 one (1444)
+    # cap chosen between the m=0 requirement (n0^2 = 484) and the m=9 one (1089)
     cfg = small_config(
         initial=InitialStateSpec(nu=2.0),
         channel=ChannelSection(gamma_tau_grid=GridSpec(0.0, 0.1, 2), m_values=(0, 9)),
