@@ -48,13 +48,12 @@ crash on Python 3.11 when it stopped while another thread allocated.
 from __future__ import annotations
 
 import contextvars
-import math
 import os
 
 import numpy as np
 
 from .beamsplitter import _kept_split_levels, split_amplitudes
-from .fock import check_amplitudes
+from .fock import check_amplitudes, check_finite
 from .kerr import kerr_evolve
 
 __all__ = [
@@ -85,20 +84,19 @@ def schmidt_spectrum(phi: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(lambdas: np.ndarray) -> float | np.ndarray:
     """-sum(lam * log2 lam) over each spectrum, the last axis, divided by its
-    sum, skipping the 0*log(0) limit; NaN for a spectrum that is not finite.
+    sum, skipping the 0*log(0) limit.
 
     A float for one spectrum, an array for a (..., d) stack.  Schmidt weights
     of a unit vector sum to 1, so dividing makes the leading weight of a
     rank-1 spectrum exactly 1.  The result is clipped at 0 (also turning -0.0
-    into 0.0).
+    into 0.0).  A spectrum that is not finite has a sum that is not, which
+    raises InfeasibleScenarioError; a stack holding one is refused whole.
     """
     lam = np.asarray(lambdas, dtype=float)
-    total = lam.sum(axis=-1, keepdims=True)  # not finite when any weight is not
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = lam / total
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam = lam / check_finite(lam.sum(axis=-1, keepdims=True), "von Neumann entropy")
         terms = np.where(lam > _ENTROPY_FLOOR, lam * np.log2(lam), 0.0)
     entropy = np.maximum(0.0, 0.0 - terms.sum(axis=-1))  # 0.0 - 0.0 is +0.0, -(0.0) is not
-    entropy = np.where(np.isfinite(total[..., 0]), entropy, np.nan)
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
@@ -182,16 +180,11 @@ def log_negativity(rho: np.ndarray) -> float:
     """log2 of the trace norm of the partial transpose, clipped at 0.
 
     For a Hermitian operator the trace norm is the sum of absolute
-    eigenvalues; magnitudes below 1e-12 are discarded as roundoff.  NaN when
-    rho or the eigenvalues are not finite.
+    eigenvalues; magnitudes below 1e-12 are discarded as roundoff.  A rho or
+    eigenvalues that are not finite raise InfeasibleScenarioError.
     """
-    flat = _flatten(partial_transpose(rho))
-    if not np.isfinite(flat).all():
-        return math.nan
-    eig = np.linalg.eigvalsh(flat)
-    if not np.isfinite(eig).all():
-        return math.nan
-    mags = np.abs(eig)
+    flat = check_finite(_flatten(partial_transpose(rho)), "log negativity")
+    mags = np.abs(check_finite(np.linalg.eigvalsh(flat), "log negativity"))
     trace_norm = float(mags[mags > _TRACE_NORM_FLOOR].sum())
     if trace_norm <= 0.0:
         return 0.0
@@ -199,6 +192,8 @@ def log_negativity(rho: np.ndarray) -> float:
 
 
 def pure_state_log_negativity(phi: np.ndarray) -> float:
-    """Closed form for pure states: E_N = 2 * log2(sum of singular values)."""
+    """Closed form for pure states: E_N = 2 * log2(sum of singular values);
+    singular values that are not finite raise InfeasibleScenarioError."""
     s = np.linalg.svd(np.asarray(phi, dtype=complex), compute_uv=False)
-    return max(float(2.0 * np.log2(s.sum())), 0.0)
+    total = check_finite(s.sum(), "pure-state log negativity")
+    return max(float(2.0 * np.log2(total)), 0.0)

@@ -16,6 +16,8 @@ The tail rule also trims the output modes of the splitter, in
 ``beamsplitter`` and ``decoherence``; each caller names its tail.
 ``check_amplitudes`` is the input rule of the entropy and loss curves and
 of the Husimi map: a finite 1-D array with a finite, nonzero norm.
+``check_finite`` is their output rule: the function that computes a number
+refuses it when it is not finite, so no caller checks one.
 Factorials and binomials are in log space, from ``log_factorials``, so
 levels near n = 100 stay finite.
 """
@@ -49,7 +51,7 @@ class CutoffTooSmallError(ValueError):
 
 
 class InfeasibleScenarioError(RuntimeError):
-    """A scenario needs a matrix beyond the dimension cap."""
+    """A scenario needs a matrix beyond the dimension cap, or gives a non-finite result."""
 
 
 def check_dim_cap(side: int, dim_cap: int, what: str) -> None:
@@ -58,6 +60,13 @@ def check_dim_cap(side: int, dim_cap: int, what: str) -> None:
         raise InfeasibleScenarioError(
             f"{what} needs a {side} x {side} matrix, over dim_cap {dim_cap}"
         )
+
+
+def check_finite(values, what: str):
+    """``values`` if all are finite; InfeasibleScenarioError naming ``what`` otherwise."""
+    if not np.isfinite(values).all():
+        raise InfeasibleScenarioError(f"{what} gave a non-finite result")
+    return values
 
 
 def check_real(name: str, value) -> float:

@@ -32,6 +32,7 @@ from .fock import (
     DEFAULT_DIM_CAP,
     check_amplitudes,
     check_dim_cap,
+    check_finite,
     check_int,
     check_real,
     log_factorials,
@@ -70,10 +71,13 @@ class PhaseSpaceGrid:
 
     def normalization(self) -> float:
         """Discrete quasi-probability mass sum(Q)*dx*dp/2; ~1 when the window
-        encloses the state's support."""
+        encloses the state's support.  A mass that is not finite, as in a
+        huge window, raises InfeasibleScenarioError."""
         dx = float(self.x[1] - self.x[0])
         dp = float(self.p[1] - self.p[0])
-        return float(self.values.sum() * dx * dp / 2.0)
+        with np.errstate(over="ignore"):
+            mass = self.values.sum() * dx * dp / 2.0
+        return float(check_finite(mass, "Husimi Q normalization"))
 
 
 def default_half_width(mean_photons: float) -> float:
@@ -98,7 +102,8 @@ def husimi_q(
 
     ``amplitudes`` must pass ``fock.check_amplitudes``, and a
     ``resolution`` over ``dim_cap`` raises InfeasibleScenarioError before
-    the grid is built."""
+    the grid is built.  So does a map that is not finite, as the Horner pass
+    gives past about 230 mean photons, once it is built."""
     check_int("resolution", resolution, 2)
     _check_grid_cap(resolution, dim_cap)
     amplitudes, _ = check_amplitudes(amplitudes)
@@ -112,9 +117,11 @@ def husimi_q(
     coeff = amplitudes * np.exp(-0.5 * log_factorials(len(amplitudes)))
     z = (x[:, None] - 1j * p[None, :]) / math.sqrt(2.0)  # conj(beta)
     acc = np.zeros_like(z)
-    for c in coeff[::-1]:
-        acc = acc * z + c
-    q = np.exp(-np.abs(z) ** 2) * np.abs(acc) ** 2 / math.pi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in coeff[::-1]:
+            acc = acc * z + c
+        q = np.exp(-np.abs(z) ** 2) * np.abs(acc) ** 2 / math.pi
+    check_finite(q, f"Husimi Q of a {len(amplitudes)}-level state")
     return PhaseSpaceGrid(x, p, q)
 
 

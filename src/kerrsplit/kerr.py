@@ -89,7 +89,8 @@ def fractional_revival_superposition(alpha: complex, p: int, q: int) -> Coherent
 
     over one period n = 0..q-1; both sides repeat (q odd) or flip sign
     (q even) under n -> n+q, so matching one period matches every level.
-    The system matrix is a phase-scaled DFT and perfectly conditioned.
+    The system matrix is a phase-scaled DFT and perfectly conditioned.  A q
+    over ``DEFAULT_DIM_CAP`` raises InfeasibleScenarioError before any work.
     """
     p, q = int(p), int(q)
     if q <= 1:
@@ -98,6 +99,7 @@ def fractional_revival_superposition(alpha: complex, p: int, q: int) -> Coherent
         raise ValueError(f"p must satisfy 1 <= p < q, got p={p}, q={q}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p and q must be coprime, got p={p}, q={q}")
+    check_dim_cap(q, DEFAULT_DIM_CAP, f"revival superposition at p/q={p}/{q}")
 
     j = np.arange(q)
     offset = math.pi / q if q % 2 == 0 else 0.0

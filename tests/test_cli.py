@@ -376,12 +376,15 @@ BAD_INPUTS = {
     "entropy-tau-1e308": (["entropy"], {"time_grid": {"start": 1e308, "stop": 1e308,
                                                       "steps": 2}}, 2),
     "husimi-tau-1e308": (["husimi"], {"husimi": {"taus": [1e308], "resolution": 21}}, 2),
+    "husimi-nu-300": (["husimi", "--nu", "300", "--tau", "0.5", "--resolution", "101"],
+                      None, 2),
 }
-# rows whose Kerr or coherent phase overflows: the builder refuses the coherent
-# phase once it has chosen the cutoff, and kerr_evolve the Kerr phase of the
-# built state, so both reach the cutoff
+# rows whose Kerr or coherent phase, or whose Husimi map, overflows: the builder
+# refuses the coherent phase once it has chosen the cutoff, kerr_evolve the Kerr
+# phase of the built state and husimi_q a map that is not finite, so all reach
+# the cutoff
 OVERFLOWING = {"decohere-tau-1e308", "decohere-theta-1e308", "entropy-theta-1e308",
-               "entropy-tau-1e308", "husimi-tau-1e308"}
+               "entropy-tau-1e308", "husimi-tau-1e308", "husimi-nu-300"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -407,7 +410,7 @@ def test_bad_input_ends_in_one_named_error(tmp_path, capsys, monkeypatch, case):
     assert got == code
     assert not any("Traceback" in line for line in lines)
     assert [line for line in lines if line.startswith(prefix)] == lines[-1:]
-    if case in OVERFLOWING:  # refused as a non-finite state, not a failed SVD
+    if case in OVERFLOWING:  # refused as a non-finite result, not a failed SVD
         assert len(lines) == 1 and lines[0].endswith("gave a non-finite result")
     assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
 

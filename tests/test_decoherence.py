@@ -492,7 +492,8 @@ def test_split_real_eigensolve_equals_complex_eigensolve(d):
             assert np.max(np.abs(np.linalg.eigvalsh(real) - want)) < 1e-13
             assert abs(log_negativity(form) - log_negativity(rho)) < 1e-13
     sigma[0, 0] = np.nan
-    assert math.isnan(log_negativity(_split_real_form(sigma, d)))
+    with pytest.raises(InfeasibleScenarioError, match="non-finite result$"):
+        log_negativity(_split_real_form(sigma, d))
 
 
 def test_equal_rates_on_a_non_symmetric_phi_need_the_complex_eigensolve():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kerrsplit import entanglement
 from kerrsplit.beamsplitter import output_at_time, split_amplitudes
-from kerrsplit.decoherence import negativity_decay_curve
+from kerrsplit.decoherence import ChannelParams, negativity_decay_curve
 from kerrsplit.entanglement import (
     entanglement_entropy,
     entropy_curve,
@@ -15,8 +16,14 @@ from kerrsplit.entanglement import (
     schmidt_spectrum,
     von_neumann_entropy,
 )
-from kerrsplit.fock import InitialStateSpec, build_initial_state, choose_cutoff
+from kerrsplit.fock import (
+    InfeasibleScenarioError,
+    InitialStateSpec,
+    build_initial_state,
+    choose_cutoff,
+)
 
+from test_cli import _nan_spectrum
 from test_decoherence import pure_to_density
 
 FOCK5 = np.eye(9, dtype=complex)[5]  # |5> over levels 0..8
@@ -180,18 +187,53 @@ def test_entropy_of_rounded_rank_one_spectrum_is_zero():
     assert von_neumann_entropy(np.array([1.0 + 4.4e-16, 1e-20])) == 0.0
 
 
-def test_non_finite_spectra_give_nan(monkeypatch):
-    assert math.isnan(von_neumann_entropy(np.array([0.5, np.nan, 0.5])))
-    assert math.isnan(von_neumann_entropy(np.array([np.inf, 0.0])))
+def test_non_finite_spectra_are_refused(monkeypatch):
+    """A NaN or infinite spectrum, a stack with one NaN row, a NaN rho and a
+    NaN eigensolve each raise the named error rather than return NaN."""
     stack = np.array([[0.5, 0.5], [np.nan, 0.5], [1.0, 0.0]])
-    got = von_neumann_entropy(stack)
-    assert np.isnan(got).tolist() == [False, True, False]
-    assert got[0] == 1.0 and got[2] == 0.0
+    assert von_neumann_entropy(stack[[0, 2]]).tolist() == [1.0, 0.0]
     rho = pure_to_density(bell_like())
     rho[0, 0, 0, 0] = np.nan
-    assert math.isnan(log_negativity(rho))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
-    assert math.isnan(log_negativity(pure_to_density(bell_like())))
+    cases = [lambda: von_neumann_entropy(np.array([0.5, np.nan, 0.5])),
+             lambda: von_neumann_entropy(np.array([np.inf, 0.0])),
+             lambda: von_neumann_entropy(stack),
+             lambda: log_negativity(rho)]
+    for case in cases:
+        with pytest.raises(InfeasibleScenarioError, match="non-finite result$"):
+            case()
+    monkeypatch.setattr(np.linalg, "eigvalsh", _nan_spectrum)
+    with pytest.raises(InfeasibleScenarioError, match="non-finite result$"):
+        log_negativity(pure_to_density(bell_like()))
+    monkeypatch.setattr(np.linalg, "svd", _nan_spectrum)
+    with pytest.raises(InfeasibleScenarioError, match="non-finite result$"):
+        pure_state_log_negativity(bell_like())
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_entropy_curve_refuses_a_nan_svd(monkeypatch, workers):
+    """With two workers the two taus run as two pool tasks, so the refusal
+    crosses the pool."""
+    monkeypatch.setattr(entanglement, "_worker_count", lambda: workers)
+    monkeypatch.setattr(np.linalg, "svd", _nan_spectrum)
+    c = build_initial_state(InitialStateSpec(nu=5.0))
+    with pytest.raises(InfeasibleScenarioError, match="non-finite result$"):
+        entropy_curve(c, [0.25, 0.5])
+
+
+# (routine to break, channel rates, gamma*tau): the closed form at gamma*tau
+# = 0, the real eigensolve at equal rates, the complex one at unequal rates
+NAN_LOSS_POINTS = {"closed-form": ("svd", (0.1, 0.1), 0.0),
+                   "equal-rates": ("eigvalsh", (0.1, 0.1), 0.5),
+                   "unequal-rates": ("eigvalsh", (0.1, 0.3), 0.5)}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_LOSS_POINTS))
+def test_negativity_decay_curve_refuses_a_nan_spectrum(monkeypatch, case):
+    routine, rates, gamma_tau = NAN_LOSS_POINTS[case]
+    monkeypatch.setattr(np.linalg, routine, _nan_spectrum)
+    c = build_initial_state(InitialStateSpec(nu=1.0, m=1))
+    with pytest.raises(InfeasibleScenarioError, match="non-finite result$"):
+        negativity_decay_curve(c, [gamma_tau], ChannelParams(*rates))
 
 
 # Exact symmetries of E(tau) for the split Kerr state: n(n-1) is even, so tau

@@ -436,6 +436,25 @@ def test_husimi_q_refuses_a_grid_over_the_cap():
     assert husimi_q(vacuum(3), resolution=100, dim_cap=100).values.shape == (100, 100)
 
 
+def test_husimi_q_refuses_a_non_finite_map():
+    """Past about 230 mean photons the Horner pass overflows: at nu = 300
+    (436 levels) the map once held 784 NaN pixels out of 101^2."""
+    state = kerr_evolve(build_initial_state(InitialStateSpec(nu=300.0)), 0.5)
+    with pytest.raises(InfeasibleScenarioError,
+                       match="436-level state gave a non-finite result$"):
+        husimi_q(state, resolution=101)
+
+
+def test_normalization_refuses_a_mass_that_overflows():
+    """A window of half-width 1e155 gives a finite vacuum map whose pixel
+    area, dx * dp, overflows; the mass once read inf."""
+    grid = husimi_q(build_initial_state(InitialStateSpec(nu=0.0)), half_width=1e155,
+                    resolution=3)
+    assert np.isfinite(grid.values).all()
+    with pytest.raises(InfeasibleScenarioError, match="normalization gave a non-finite result$"):
+        grid.normalization()
+
+
 # each once gave numpy's unnamed TypeError, an all-zero grid, a NaN grid or
 # an overflow warning
 @pytest.mark.parametrize("amplitudes", [np.ones((2, 2)), np.array([]), [math.nan, 1.0],

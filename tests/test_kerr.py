@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kerrsplit.fock import (
+    DEFAULT_DIM_CAP,
     CutoffPolicy,
     CutoffTooSmallError,
     InfeasibleScenarioError,
@@ -158,6 +160,19 @@ def test_an_overflowing_phase_is_refused_before_numpy_warns(taus):
     warning into an error, so the refusal must come first."""
     with pytest.raises(InfeasibleScenarioError, match="gave a non-finite result$"):
         kerr_evolve(coherent5(), taus)
+
+
+def test_superposition_refuses_a_q_over_the_cap_before_it_allocates():
+    """A q x q complex system at q = 4097 would take 268 MB."""
+    q = DEFAULT_DIM_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleScenarioError, match=f"{q} x {q} matrix"):
+            fractional_revival_superposition(ALPHA5, 1, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_reconstruction_refuses_a_cutoff_over_the_cap():
