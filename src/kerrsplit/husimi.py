@@ -6,7 +6,8 @@ vacuum with x = sqrt(2)*Re(beta), p = sqrt(2)*Im(beta), and
     Q(x, p) = (1/pi) * |<beta|psi>|^2
             = (1/pi) * exp(-|beta|^2) * |sum_n conj(beta)^n c_n / sqrt(n!)|^2.
 
-Q is bounded by 1/pi, a coherent state peaks at (sqrt(2)Re alpha,
+Q is bounded by ||c||^2/pi, which is 1/pi for a unit vector (``husimi_q``
+does not normalise its amplitudes).  A coherent state peaks at (sqrt(2)Re alpha,
 sqrt(2)Im alpha), and the phase-space measure is dx dp / 2 (so sum(Q)*dx*dp/2
 is ~1 on a window enclosing the state).  Q is evaluated directly from the
 Fock amplitudes by a Horner pass over the grid.  ``husimi_q`` owns the
@@ -17,7 +18,7 @@ topographic prominence with ``prominent_summits``, the same rule that finds
 the entropy minima of a curve in ``sweep``; it labels connected regions from
 horizontal runs with numpy alone.  ``write_grid`` writes a grid
 as a CSV of (x, p, Q) rows and as a dense ``.qmat`` matrix, formatting each
-value once for both files.
+x-row with one ``%`` call for both files.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Q values sampled on a rectangular lattice: values[i, j] = Q(x[i], p[j])."""
+    """Q values sampled on a rectangular lattice: values[i, j] = Q(x[i], p[j]).
+    Each axis has at least 2 points; a shorter one raises ValueError."""
 
     x: np.ndarray
     p: np.ndarray
@@ -61,6 +63,9 @@ class PhaseSpaceGrid:
         x = np.array(self.x, dtype=float)
         p = np.array(self.p, dtype=float)
         values = np.array(self.values, dtype=float)
+        for name, axis in (("x", x), ("p", p)):
+            if axis.size < 2:
+                raise ValueError(f"{name} must have at least 2 points, got {axis.size}")
         if values.shape != (len(x), len(p)):
             raise ValueError("values must have shape (len(x), len(p))")
         for arr in (x, p, values):
@@ -99,6 +104,8 @@ def husimi_q(
 ) -> PhaseSpaceGrid:
     """Evaluate Q of the state with these Fock amplitudes on a square window
     of the given half-width (default sized from its mean photon number).
+    The amplitudes are used as given, not normalised, so Q <= ||c||^2/pi,
+    which is 1/pi for a unit vector.
 
     ``amplitudes`` must pass ``fock.check_amplitudes``, and a
     ``resolution`` over ``dim_cap`` raises InfeasibleScenarioError before
@@ -119,8 +126,15 @@ def husimi_q(
     acc = np.zeros_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
         for c in coeff[::-1]:
-            acc = acc * z + c
-        q = np.exp(-np.abs(z) ** 2) * np.abs(acc) ** 2 / math.pi
+            acc *= z
+            acc += c
+        # Q is built in place in the buffer of |z|^2, and z is freed once read:
+        # the peak is two complex grids and one real one, not two more reals
+        q = np.abs(z) ** 2
+        del z
+        np.exp(-q, out=q)
+        q *= np.abs(acc) ** 2
+        q /= math.pi
     check_finite(q, f"Husimi Q of a {len(amplitudes)}-level state")
     return PhaseSpaceGrid(x, p, q)
 
@@ -245,18 +259,24 @@ def _formatted(values: np.ndarray) -> list[str]:
 def write_grid(grid: PhaseSpaceGrid, csv_path, qmat_path) -> None:
     """Write Q as a CSV, one (x, p, Q) row per grid point, x-major, and as a
     dense matrix, one x-row per line after a JSON header line.  Each x-row is
-    formatted once for both files, which keeps the memory at one row."""
+    formatted by one ``%`` call into its ``.qmat`` line, whose fields then
+    fill the CSV rows; only one row is held as text at a time."""
     header = {
         "window": [float(grid.x[0]), float(grid.x[-1]), float(grid.p[0]), float(grid.p[-1])],
         "resolution": [len(grid.x), len(grid.p)],
         "row_axis": "x",
         "col_axis": "p",
     }
-    ps = _formatted(grid.p)
+    row_template = ",".join(["%.12g"] * len(grid.p))
+    # each CSV line is (x, ",p,", Q, newline); x and Q are filled in per row
+    csv_parts = [None, None, None, "\n"] * len(grid.p)
+    csv_parts[1::4] = [f",{pv}," for pv in _formatted(grid.p)]
     with open(csv_path, "w", newline="") as csv, open(qmat_path, "w", newline="") as qmat:
         csv.write("x,p,Q\n")
         qmat.write("# " + json.dumps(header, sort_keys=True) + "\n")
         for xv, row in zip(_formatted(grid.x), grid.values):
-            qs = _formatted(row)
-            csv.write("".join(f"{xv},{pv},{q}\n" for pv, q in zip(ps, qs)))
-            qmat.write(",".join(qs) + "\n")
+            line = row_template % tuple(row.tolist())
+            csv_parts[0::4] = [xv] * len(grid.p)
+            csv_parts[2::4] = line.split(",")
+            csv.write("".join(csv_parts))
+            qmat.write(line + "\n")

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ def test_husimi_bound(nu, m, tau):
     grid = husimi_q(evolved(nu, m, tau))
     assert np.all(grid.values >= 0.0)
     assert grid.values.max() <= INV_PI + 1e-12
+
+
+def test_husimi_q_does_not_normalise_its_amplitudes():
+    """Q <= ||c||^2 / pi: doubling the amplitudes quadruples the map on a
+    fixed window (the default window widens with the unnormalised mean)."""
+    c = evolved(5.0, 0, 0.25)
+    twice, once = (husimi_q(a, half_width=7.0).values for a in (2 * c, c))
+    assert np.allclose(twice, 4 * once, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("nu,m,tau", [(5.0, 0, 0.0), (5.0, 0, 0.5), (5.0, 5, 0.2)])
@@ -206,12 +215,26 @@ def random_field(seed, shape, smooth, quantized):
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 14), ny=st.integers(1, 14),
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 14), ny=st.integers(2, 14),
        smooth=st.booleans(), quantized=st.sampled_from([None, 3, 6]),
        rel=st.floats(0.01, 0.99))
 def test_count_peaks_equals_flood_fill(seed, nx, ny, smooth, quantized, rel):
     values = random_field(seed, (nx, ny), smooth, quantized)
     assert count_peaks(as_grid(values), rel) == flood_fill_count(values, rel)
+
+
+# a PhaseSpaceGrid has at least 2 points per axis, so count_peaks never sees a
+# one-wide field; the rule that it calls still takes one
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), across=st.booleans(),
+       smooth=st.booleans(), quantized=st.sampled_from([None, 3, 6]),
+       rel=st.floats(0.01, 0.99))
+def test_prominent_summits_equal_flood_fill_on_one_wide_fields(seed, n, across, smooth,
+                                                               quantized, rel):
+    values = random_field(seed, (1, n) if across else (n, 1), smooth, quantized)
+    top = float(values.max())
+    found = len(prominent_summits(values, rel * top)) if top > 0.0 else 0
+    assert found == flood_fill_count(values, rel)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1 / 3, 0.25, 0.2, 1 / 6, 2 / 3, 0.37])
@@ -422,10 +445,61 @@ def test_write_grid_matches_the_reference_writers(tmp_path, case):
     assert (tmp_path / "one.qmat").read_bytes() == (tmp_path / "ref.qmat").read_bytes()
 
 
+# every float the writers may meet: finite ones, signed zeros, subnormals,
+# infinities and nan
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
+                               math.nan])
+ANY_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True), EDGE_FLOATS)
+
+
+@st.composite
+def writer_grids(draw):
+    nx, npts = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    x = draw(st.lists(ANY_FLOAT, min_size=nx, max_size=nx))
+    p = draw(st.lists(ANY_FLOAT, min_size=npts, max_size=npts))
+    values = draw(st.lists(ANY_FLOAT, min_size=nx * npts, max_size=nx * npts))
+    return PhaseSpaceGrid(np.array(x), np.array(p), np.array(values).reshape(nx, npts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=writer_grids())
+def test_write_grid_matches_the_reference_writers_on_any_floats(tmp_path_factory, grid):
+    tmp_path = tmp_path_factory.mktemp("writers")
+    write_grid(grid, tmp_path / "one.csv", tmp_path / "one.qmat")
+    write_grid_csv(grid, tmp_path / "ref.csv")
+    write_grid_matrix(grid, tmp_path / "ref.qmat")
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "one.qmat").read_bytes() == (tmp_path / "ref.qmat").read_bytes()
+
+
+def test_write_grid_holds_one_row_at_a_time(tmp_path):
+    """A 501^2 grid written row by row peaks far under the ~8 MB that its
+    values would take as one Python list."""
+    axis = np.linspace(-5.0, 5.0, 501)
+    grid = PhaseSpaceGrid(axis, axis, np.random.default_rng(0).random((501, 501)) / math.pi)
+    tracemalloc.start()
+    try:
+        write_grid(grid, tmp_path / "grid.csv", tmp_path / "grid.qmat")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_grid_shape_validation():
     x = np.linspace(-1, 1, 4)
     with pytest.raises(ValueError):
         PhaseSpaceGrid(x, x, np.zeros((3, 4)))
+
+
+# normalization() needs a spacing on each axis, and write_grid a window
+@pytest.mark.parametrize("nx,npts,message", [(1, 4, "x must have at least 2 points, got 1"),
+                                             (4, 1, "p must have at least 2 points, got 1"),
+                                             (0, 0, "x must have at least 2 points, got 0")],
+                         ids=["one-x", "one-p", "empty"])
+def test_grid_refuses_an_axis_of_fewer_than_two_points(nx, npts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PhaseSpaceGrid(np.zeros(nx), np.zeros(npts), np.zeros((nx, npts)))
 
 
 def test_husimi_q_refuses_a_grid_over_the_cap():
