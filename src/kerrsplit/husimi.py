@@ -10,7 +10,8 @@ Q is bounded by ||c||^2/pi, which is 1/pi for a unit vector (``husimi_q``
 does not normalise its amplitudes).  A coherent state peaks at (sqrt(2)Re alpha,
 sqrt(2)Im alpha), and the phase-space measure is dx dp / 2 (so sum(Q)*dx*dp/2
 is ~1 on a window enclosing the state).  Q is evaluated directly from the
-Fock amplitudes by a Horner pass over the grid.  ``husimi_q`` owns the
+Fock amplitudes by a Horner pass over one block of grid rows at a time,
+written straight into the returned map.  ``husimi_q`` owns the
 grid's size rule, resolution <= ``dim_cap``, and refuses a larger grid
 before it allocates one; ``sweep.run_husimi`` applies the same check,
 ``_check_grid_cap``, before it builds its state.  Peaks are counted by
@@ -91,6 +92,11 @@ def default_half_width(mean_photons: float) -> float:
     return 2.0 + 1.6 * math.sqrt(2.0 * max(mean_photons, 0.0))
 
 
+# the most bytes of complex values (z, and again the Horner accumulator) that
+# husimi_q holds at once: 81 rows of a 201-wide grid, 16 of a 1001-wide one
+_BLOCK_BYTES = 1 << 18
+
+
 def _check_grid_cap(resolution: int, dim_cap: int) -> None:
     """Refuse a ``resolution`` x ``resolution`` Husimi grid over ``dim_cap``."""
     check_dim_cap(resolution, dim_cap, "Husimi grid")
@@ -105,7 +111,8 @@ def husimi_q(
     """Evaluate Q of the state with these Fock amplitudes on a square window
     of the given half-width (default sized from its mean photon number).
     The amplitudes are used as given, not normalised, so Q <= ||c||^2/pi,
-    which is 1/pi for a unit vector.
+    which is 1/pi for a unit vector.  Q is evaluated one block of x-rows at
+    a time, with the same operations per pixel as one whole-grid pass.
 
     ``amplitudes`` must pass ``fock.check_amplitudes``, and a
     ``resolution`` over ``dim_cap`` raises InfeasibleScenarioError before
@@ -122,19 +129,23 @@ def husimi_q(
     x = p = np.linspace(-half_width, half_width, resolution)
 
     coeff = amplitudes * np.exp(-0.5 * log_factorials(len(amplitudes)))
-    z = (x[:, None] - 1j * p[None, :]) / math.sqrt(2.0)  # conj(beta)
-    acc = np.zeros_like(z)
+    # Q is built row block by row block in its own rows of the returned grid:
+    # the peak is that grid plus one block's complex z and accumulator
+    q = np.empty((resolution, resolution))
+    rows = max(1, _BLOCK_BYTES // (16 * resolution))
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in coeff[::-1]:
-            acc *= z
-            acc += c
-        # Q is built in place in the buffer of |z|^2, and z is freed once read:
-        # the peak is two complex grids and one real one, not two more reals
-        q = np.abs(z) ** 2
-        del z
-        np.exp(-q, out=q)
-        q *= np.abs(acc) ** 2
-        q /= math.pi
+        for start in range(0, resolution, rows):
+            block = q[start:start + rows]
+            z = (x[start:start + rows, None] - 1j * p[None, :]) / math.sqrt(2.0)  # conj(beta)
+            acc = np.zeros_like(z)
+            for c in coeff[::-1]:
+                acc *= z
+                acc += c
+            np.abs(z, out=block)
+            block **= 2
+            np.exp(-block, out=block)
+            block *= np.abs(acc) ** 2
+            block /= math.pi
     check_finite(q, f"Husimi Q of a {len(amplitudes)}-level state")
     return PhaseSpaceGrid(x, p, q)
 
@@ -225,7 +236,10 @@ def prominent_summits(values: np.ndarray, floor: float) -> list[int]:
     padded[:, :width] = values.reshape(-1, width)
     padded = padded.ravel()
     summits = []
-    for level in np.unique(flat[candidates]):
+    levels = np.sort(flat[candidates])
+    # distinct levels without np.unique, whose plain form imports numpy.ma
+    levels = levels[np.append(True, levels[1:] != levels[:-1])]
+    for level in levels:
         mask = (padded > level - floor).reshape(-1, width + 1)
         starts, ends, root = _run_components(mask)
         run_top = np.maximum.reduceat(padded, np.column_stack([starts, ends]).ravel())[0::2]

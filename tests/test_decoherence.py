@@ -411,6 +411,20 @@ def test_decay_curve_starts_at_closed_form_and_decreases():
     assert all(v >= 0.0 for v in values)
 
 
+def test_claim_3_fails_at_nu_1_for_m_1_against_m_0():
+    """The paper's claim 3, that photon-added inputs keep more E_N under
+    loss, does not hold pointwise at small nu: at tau = 1/2 and gamma*tau = 1
+    one added photon leaves less E_N than none at nu = 1, though two leave
+    more, while at nu = 2 the order holds.  A change that moves these values
+    changes the physics."""
+    en = {(nu, m): negativity_decay_curve(kerr_state(nu, m, 0.5), [1.0])[0][1]
+          for nu, m in ((1.0, 0), (1.0, 1), (1.0, 2), (2.0, 0), (2.0, 1))}
+    assert en == pytest.approx({(1.0, 0): 0.0278, (1.0, 1): 0.0213, (1.0, 2): 0.0323,
+                                (2.0, 0): 0.0100, (2.0, 1): 0.0214}, abs=5e-5)
+    assert en[1.0, 1] < en[1.0, 0] < en[1.0, 2]
+    assert en[2.0, 1] > en[2.0, 0]
+
+
 def untrimmed_curve(phi, gamma_taus, params=GAMMA):
     """E_N on the full d x d support, with an eigensolve at every point."""
     rho0 = pure_to_density(phi)

@@ -7,9 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from kerrsplit.fock import InfeasibleScenarioError, InitialStateSpec, build_initial_state
+from kerrsplit.fock import (
+    InfeasibleScenarioError,
+    InitialStateSpec,
+    build_initial_state,
+    log_factorials,
+)
 from kerrsplit.husimi import (
     PhaseSpaceGrid,
     count_peaks,
@@ -330,15 +335,19 @@ def test_prominent_summits_refuses_non_finite_values_and_floors_not_above_zero(v
 SCIPY_BLOCKED_RUN = """
 import json, sys
 sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+import numpy
+ma_with_numpy = "numpy.ma" in sys.modules  # numpy 1.x imports numpy.ma itself
 from kerrsplit.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
-print(json.dumps({"codes": codes, "scipy": loaded}))
+ma_loaded = "numpy.ma" in sys.modules and not ma_with_numpy
+print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": ma_loaded}))
 """
 
 
 def test_every_command_runs_without_scipy(tmp_path):
-    # scipy.ndimage alone pulls in about 300 modules; no command needs any
+    # scipy.ndimage alone pulls in about 300 modules; no command needs any,
+    # nor numpy.ma, which a plain np.unique imports where numpy does not
     (tmp_path / "surface.json").write_text(json.dumps({
         "name": "s", "initial": {"nu": 1.0},
         "time_grid": {"start": 0.0, "stop": 1.0, "steps": 5},
@@ -356,7 +365,8 @@ def test_every_command_runs_without_scipy(tmp_path):
     ]
     proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN, json.dumps(commands)],
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": [],
+                                                        "numpy.ma": False}
     assert json.loads((tmp_path / "e_entropy-curve.json").read_text())["n_minima"] > 0
     assert json.loads((tmp_path / "h_husimi.json").read_text())["grids"][0]["peak_count"] == 2
 
@@ -484,6 +494,52 @@ def test_write_grid_holds_one_row_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_husimi_q_holds_one_block_beside_the_map():
+    """At 1001^2 the map is built 16 rows at a time: the peak is the returned
+    grid and the copy PhaseSpaceGrid makes (8 MB each), where two full complex
+    grids once took it to 38 MB."""
+    state = evolved(5.0, 0, 0.5)
+    tracemalloc.start()
+    try:
+        husimi_q(state, resolution=1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def whole_grid_husimi_q(amplitudes, half_width, resolution):
+    """Q by one Horner pass over the whole grid, holding both full complex
+    grids: the map that the blocked pass must reproduce bit for bit."""
+    x = p = np.linspace(-half_width, half_width, resolution)
+    coeff = amplitudes * np.exp(-0.5 * log_factorials(len(amplitudes)))
+    z = (x[:, None] - 1j * p[None, :]) / math.sqrt(2.0)
+    acc = np.zeros_like(z)
+    for c in coeff[::-1]:
+        acc *= z
+        acc += c
+    q = np.abs(z) ** 2
+    np.exp(-q, out=q)
+    q *= np.abs(acc) ** 2
+    q /= math.pi
+    return q
+
+
+# r <= 128 is one block, 201 is two of 81 rows and a short one of 39, and
+# 300 is five of 54 rows and a short one of 30
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 60), r=st.integers(2, 300),
+       half_width=st.floats(0.5, 10.0))
+@example(seed=0, d=42, r=201, half_width=6.0)
+@example(seed=1, d=60, r=300, half_width=10.0)
+@example(seed=2, d=1, r=2, half_width=0.5)
+def test_blocked_husimi_q_is_the_whole_grid_pass(seed, d, r, half_width):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    got = husimi_q(c, half_width=half_width, resolution=r).values
+    assert np.array_equal(got, whole_grid_husimi_q(c, half_width, r))
 
 
 def test_grid_shape_validation():
