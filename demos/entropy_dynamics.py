@@ -18,7 +18,6 @@ OUT = Path(__file__).resolve().parent / "output"
 
 
 def main():
-    OUT.mkdir(exist_ok=True)
     for nu in (5.0, 10.0, 20.0):
         cfg = ScenarioConfig(
             name=f"coherent_nu{nu:g}",
@@ -27,8 +26,7 @@ def main():
         )
         table = run_entropy_curve(cfg)
         summary = table.summary
-        path = OUT / f"{cfg.name}_{table.artifact}.csv"
-        write_table(path, table)
+        path, _ = write_table(OUT, cfg.name, table)
         print(f"nu = {nu:g}:  E_max = {summary['e_max']:.3f} ebits, "
               f"{summary['n_minima']} fractional-revival minima -> {path.name}")
         for entry in summary["minima"]:

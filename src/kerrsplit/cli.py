@@ -2,10 +2,11 @@
 
 Subcommands: ``entropy``, ``surface``, ``husimi``, ``decohere`` and
 ``oracle-check``.  The first four take an optional ``--config`` JSON scenario
-plus a few per-field overrides and write artifacts under ``--out-dir``:
-``entropy``, ``surface`` and ``decohere`` one table as a CSV and a JSON
-summary, ``husimi`` a CSV and a ``.qmat`` per tau plus one JSON summary.
-A command that fails writes none of its artifacts.
+plus a few per-field overrides, run one ``sweep`` runner and write its
+table under ``--out-dir`` with ``write_table``: ``entropy``, ``surface``
+and ``decohere`` a CSV and a JSON summary, ``husimi`` a CSV and a
+``.qmat`` per tau plus one JSON summary.  A command that fails writes
+none of its artifacts.
 ``oracle-check`` writes nothing.
 Exit codes: 0 success, 1 invalid configuration or command line (an
 ``--out-dir`` or artifact path that cannot be written counts as one),
@@ -31,7 +32,6 @@ from .sweep import (
     ScenarioConfig,
     config_errors,
     config_from_json,
-    run_husimi,
     with_overrides,
     write_table,
 )
@@ -39,12 +39,13 @@ from .sweep import (
 ORACLE_PAIRS = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5))
 ORACLE_TOL = 1e-10
 
-# Commands whose sweep runner returns a Table, written as
-# <name>_<artifact>.csv/.json.  The runner is looked up on the sweep module
-# at call time, so a wrapped or patched runner is the one that runs.
-_TABLE_RUNNERS = {
+# Each writing command's sweep runner, whose Table ``write_table`` writes.
+# The runner is looked up on the sweep module at call time, so a wrapped or
+# patched runner is the one that runs.
+_RUNNERS = {
     "entropy": "run_entropy_curve",
     "surface": "run_entropy_surface",
+    "husimi": "run_husimi",
     "decohere": "run_decoherence_scan",
 }
 
@@ -103,20 +104,11 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
                           resolution=getattr(args, "resolution", None), name=args.name)
 
 
-def _cmd_table(args) -> int:
+def _cmd_run(args) -> int:
     config = _load_config(args)
-    table = getattr(sweep, _TABLE_RUNNERS[args.command])(config)
-    csv_path = args.out_dir / f"{config.name}_{table.artifact}.csv"
-    write_table(csv_path, table)
-    print(csv_path)
-    print(csv_path.with_suffix(".json"))
-    return 0
-
-
-def _cmd_husimi(args) -> int:
-    config = _load_config(args)
-    run_husimi(config, args.out_dir)
-    print(args.out_dir / f"{config.name}_husimi.json")
+    table = getattr(sweep, _RUNNERS[args.command])(config)
+    for path in write_table(args.out_dir, config.name, table):
+        print(path)
     return 0
 
 
@@ -135,11 +127,7 @@ def _cmd_oracle_check(args) -> int:
     return 2 if failed else 0
 
 
-_COMMANDS = {
-    **dict.fromkeys(_TABLE_RUNNERS, _cmd_table),
-    "husimi": _cmd_husimi,
-    "oracle-check": _cmd_oracle_check,
-}
+_COMMANDS = {**dict.fromkeys(_RUNNERS, _cmd_run), "oracle-check": _cmd_oracle_check}
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,11 @@
 """Configuration-driven sweeps: entropy curves and surfaces, Husimi grids,
 and decoherence scans, with CSV/JSON emission.
 
-The three table runners return a ``Table``: the artifact name, the ``#``
-header, named equal-length columns and the JSON summary.  ``write_table``
-emits one as a CSV plus a JSON file beside it.  ``run_husimi`` writes each
-Q grid as it computes it, so only one grid is held at a time.  A run's
-artifacts are renamed into place only once all of them are written.
+Every runner returns a ``Table``: the artifact name, the ``#`` header,
+named equal-length columns, the JSON summary and any further files, and
+``write_table`` alone writes one.  The Husimi table has no columns; its
+files compute and write one Q grid at a time.  A run's artifacts are
+renamed into place only once all of them are written.
 
 Scenarios are plain JSON documents.  Every pipeline stage is deterministic
 (there is no randomness anywhere), so identical configs produce byte-identical
@@ -34,9 +34,11 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -227,14 +229,20 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Table:
-    """One tabular result: the artifact name (``<name>_<artifact>.csv``), the
-    ``#`` header, named equal-length columns (``None`` writes a blank cell)
-    and the JSON summary."""
+    """One runner's result, as ``write_table`` writes it: the artifact name
+    (``<name>_<artifact>.csv`` and ``.json``), the ``#`` header, named
+    equal-length columns (``None`` writes a blank cell; none writes no
+    CSV), the JSON summary, and ``files()``, which gives further (file
+    names, ``write(*paths)``) pairs, written first.  A runner may fill its
+    summary as those files are made, so the summary is complete only once
+    ``write_table`` has run; each write makes them anew, so a table can be
+    written again, or after a write that failed."""
 
     artifact: str
     header: dict
     columns: dict
     summary: dict
+    files: Callable = tuple
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
@@ -400,10 +408,12 @@ def run_decoherence_scan(config: ScenarioConfig) -> Table:
     return Table(artifact, {**_scenario_header(config), **channel}, columns, summary)
 
 
-def run_husimi(config: ScenarioConfig, out_dir) -> dict:
-    """Write one Q grid (CSV plus dense-matrix file) per requested tau, then
-    the summary with peak counts and the distinguishability estimate as
-    ``<name>_husimi.json``, all or none, and return the summary."""
+def run_husimi(config: ScenarioConfig) -> Table:
+    """One Q grid per requested tau, each a CSV plus a dense-matrix file,
+    and a summary with their peak counts and the distinguishability
+    estimate.  The inputs are checked and the state is built here; the
+    grids are computed one at a time as ``write_table`` writes ``files()``,
+    which records each grid's summary entry once it is written."""
     section = config.husimi
     if not section.taus:
         raise ConfigError("husimi.taus: at least one tau value is required")
@@ -413,7 +423,9 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
     amplitudes = build_initial_state(init, policy=config.cutoff, dim_cap=config.dim_cap)
 
     entries = []
-    with _staged(Path(out_dir)) as stage:
+
+    def grid_files():
+        entries.clear()  # each write computes and records its own grids
         for tau in section.taus:
             state = kerr_evolve(amplitudes, float(tau))
             grid = husimi_q(state, half_width=section.half_width,
@@ -421,7 +433,7 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
             normalization = grid.normalization()
             stem = f"{config.name}_husimi_tau_{_tau_label(tau)}"
             files = [f"{stem}.csv", f"{stem}.qmat"]
-            write_grid(grid, *(stage / name for name in files))
+            yield files, partial(write_grid, grid)
             entries.append(
                 {
                     "tau": float(tau),
@@ -431,19 +443,19 @@ def run_husimi(config: ScenarioConfig, out_dir) -> dict:
                     "normalization": normalization,
                 }
             )
-        summary = {
-            "name": config.name,
-            "nu": init.nu,
-            "m": init.m,
-            "theta": init.theta,
-            "n_cut": len(amplitudes) - 1,
-            "resolution": section.resolution,
-            "rel_threshold": section.rel_threshold,
-            "n_max_estimate": n_max_estimate(math.sqrt(init.nu)),
-            "grids": entries,
-        }
-        write_json(stage / f"{config.name}_husimi.json", summary)
-    return summary
+
+    summary = {
+        "name": config.name,
+        "nu": init.nu,
+        "m": init.m,
+        "theta": init.theta,
+        "n_cut": len(amplitudes) - 1,
+        "resolution": section.resolution,
+        "rel_threshold": section.rel_threshold,
+        "n_max_estimate": n_max_estimate(math.sqrt(init.nu)),
+        "grids": entries,
+    }
+    return Table("husimi", {}, {}, summary, grid_files)
 
 
 # ---------------------------------------------------------------------------
@@ -506,21 +518,30 @@ def _staged(out_dir: Path):
         raise
 
 
-def write_table(csv_path, table: Table) -> None:
-    """Write the table's '#'-prefixed header block, a column-name row and one
-    row per point to ``csv_path``, and its summary to the .json beside it,
-    both or neither."""
-    csv_path = Path(csv_path)
-    lengths = {len(column) for column in table.columns.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"columns must have one equal length, got {sorted(lengths)}")
-    lines = [f"# {key}: {_fmt(value)}" for key, value in table.header.items()]
-    lines.append(",".join(table.columns))
-    lines.extend(map(",".join, zip(*(map(_fmt, column) for column in table.columns.values()))))
-    with _staged(csv_path.parent) as stage:
-        with open(stage / csv_path.name, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        write_json(stage / csv_path.with_suffix(".json").name, table.summary)
+def write_table(out_dir, name: str, table: Table) -> list[Path]:
+    """Write the table's ``files()``, then, when it has columns, its
+    '#'-prefixed header block, a column-name row and one row per point to
+    ``<name>_<artifact>.csv``, then its summary, complete once the files
+    are written, to ``<name>_<artifact>.json``, all in ``out_dir`` and all
+    or none.  Return the paths of the CSV, if any, and the JSON."""
+    out_dir = Path(out_dir)
+    stem = f"{name}_{table.artifact}"
+    csv_path, json_path = out_dir / f"{stem}.csv", out_dir / f"{stem}.json"
+    with _staged(out_dir) as stage:
+        for names, write in table.files():
+            write(*(stage / file_name for file_name in names))
+        if table.columns:
+            lengths = {len(column) for column in table.columns.values()}
+            if len(lengths) != 1:
+                raise ValueError(f"columns must have one equal length, got {sorted(lengths)}")
+            lines = [f"# {key}: {_fmt(value)}" for key, value in table.header.items()]
+            lines.append(",".join(table.columns))
+            lines.extend(map(",".join, zip(*(map(_fmt, column)
+                                             for column in table.columns.values()))))
+            with open(stage / csv_path.name, "w", newline="") as fh:
+                fh.write("\n".join(lines) + "\n")
+        write_json(stage / json_path.name, table.summary)
+    return [csv_path, json_path] if table.columns else [json_path]
 
 
 def write_json(path, payload: dict) -> None:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from kerrsplit import cli, entanglement, fock, sweep
 from kerrsplit.beamsplitter import output_at_time
 from kerrsplit.cli import main
 from kerrsplit.entanglement import pure_state_log_negativity
-from kerrsplit.fock import InitialStateSpec
+from kerrsplit.fock import InfeasibleScenarioError, InitialStateSpec
 from kerrsplit.sweep import (
     config_from_json,
     run_decoherence_scan,
@@ -491,6 +492,55 @@ def test_failed_run_leaves_out_dir_as_it_was(tmp_path, capsys, case):
     prefix = "config error: out-dir: " if code == 1 else "infeasible scenario: "
     assert len(lines) == 1 and lines[0].startswith(prefix)
     assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("out_dir", ["out", "nodir/sub"])
+def test_husimi_refused_at_the_second_map_leaves_out_dir_as_it_was(tmp_path, capsys,
+                                                                  monkeypatch, out_dir):
+    """The maps are computed as write_table writes them, inside its staging
+    directory: a refusal after the first map is written leaves nothing."""
+    real, calls = sweep.husimi_q, []
+
+    def refusing_second(state, **kwargs):
+        calls.append(state)
+        if len(calls) == 2:
+            raise InfeasibleScenarioError("the second map")
+        return real(state, **kwargs)
+
+    monkeypatch.setattr(sweep, "husimi_q", refusing_second)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "earlier.csv").write_text("kept\n")
+    before = snapshot(tmp_path)
+    assert run_cli(["husimi", "--tau", "0.5", "--tau", "0.25", "--resolution", "11",
+                    "--name", "s", "--out-dir", tmp_path / out_dir]) == 2
+    assert capsys.readouterr().err.splitlines() == ["infeasible scenario: the second map"]
+    assert len(calls) == 2
+    assert snapshot(tmp_path) == before
+
+
+# (argv, the artifacts named "s" that the command prints, in order)
+PRINTED_ARTIFACTS = {
+    "entropy": (["--tau-steps", "5"], ["s_entropy-curve.csv", "s_entropy-curve.json"]),
+    "surface": (["--config", "surface.json"],
+                ["s_entropy-surface.csv", "s_entropy-surface.json"]),
+    "husimi": (["--tau", "0.5", "--resolution", "11"], ["s_husimi.json"]),
+    "decohere": (["--config", "decohere.json"],
+                 ["s_negativity-vs-gammatau.csv", "s_negativity-vs-gammatau.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED_ARTIFACTS))
+def test_command_prints_its_table_paths(tmp_path, capsys, monkeypatch, command):
+    """A table's CSV then its JSON; husimi's JSON alone."""
+    monkeypatch.chdir(tmp_path)
+    Path("surface.json").write_text(json.dumps({
+        "time_grid": {"start": 0, "stop": 1, "steps": 3},
+        "nu_grid": {"start": 0.5, "stop": 1, "steps": 2}}))
+    Path("decohere.json").write_text(json.dumps(_DECAY))
+    argv, printed = PRINTED_ARTIFACTS[command]
+    assert run_cli([command, *argv, "--nu", "1", "--name", "s", "--out-dir", "out"]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(Path("out", name)) for name in printed]
+    assert sorted(Path("out").glob("s_*.json")) == [Path("out", printed[-1])]
 
 
 # (scenario JSON, runner) of each command that writes one table

@@ -425,6 +425,18 @@ def test_claim_3_fails_at_nu_1_for_m_1_against_m_0():
     assert en[2.0, 1] > en[2.0, 0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(0.5, 3.0), gamma_tau=st.floats(0.0, 1.5))
+def test_claim_3_holds_where_it_was_measured_to_hold(nu, gamma_tau):
+    """Claim 3 on the region where a scan found it (tau = 1/2, 26 nu in
+    [0.5, 3] by 31 gamma*tau in [0, 1.5]): E_N rises with m from 1 to 3 at
+    every nu there, and from 0 to 1 as well from nu = 2.  The smallest rise
+    scanned was 1.4e-3."""
+    ms = range(4) if nu >= 2.0 else range(1, 4)
+    en = [negativity_decay_curve(kerr_state(nu, m, 0.5), [gamma_tau])[0][1] for m in ms]
+    assert all(low < high for low, high in zip(en, en[1:]))
+
+
 def untrimmed_curve(phi, gamma_taus, params=GAMMA):
     """E_N on the full d x d support, with an eigensolve at every point."""
     rho0 = pure_to_density(phi)

@@ -510,6 +510,20 @@ def test_husimi_q_holds_one_block_beside_the_map():
     assert peak < 20 * 2**20
 
 
+def test_grid_does_not_change_with_the_arrays_it_was_built_from():
+    """A grid copies a caller's arrays, even a read-only view of a writable
+    one, so writing to them later leaves it as it was."""
+    x = np.linspace(-1.0, 1.0, 3)
+    values = np.arange(9.0).reshape(3, 3)
+    view = values.T
+    view.setflags(write=False)
+    grids = [PhaseSpaceGrid(x, x, values), PhaseSpaceGrid(x, x, view)]
+    values[0, 0] = x[0] = 100.0
+    for grid in grids:
+        assert grid.values[0, 0] == 0.0 and grid.x[0] == -1.0
+        assert not grid.values.flags.writeable
+
+
 def whole_grid_husimi_q(amplitudes, half_width, resolution):
     """Q by one Horner pass over the whole grid, holding both full complex
     grids: the map that the blocked pass must reproduce bit for bit."""

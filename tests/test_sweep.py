@@ -447,7 +447,7 @@ def test_dim_cap_bounds_d_on_pure_paths(tmp_path, pipeline):
     # the pure paths' largest matrix is the d x d splitter output, not d^2
     d = choose_cutoff(2.0, 0) + 1
     run = {"curve": run_entropy_curve, "surface": run_entropy_surface,
-           "husimi": lambda cfg: run_husimi(cfg, tmp_path)}[pipeline]
+           "husimi": lambda cfg: write_table(tmp_path, cfg.name, run_husimi(cfg))}[pipeline]
     cfg = small_config(time_grid=GridSpec(0.0, 1.0, 3), nu_grid=GridSpec(2.0, 2.0, 1),
                        husimi=sweep.HusimiSection(taus=(0.5,), resolution=11))
     run(replace(cfg, dim_cap=d))
@@ -463,16 +463,63 @@ def test_run_husimi_writes_grids(tmp_path):
         initial=InitialStateSpec(nu=5.0),
         husimi=HusimiSection(taus=(0.5,), resolution=81),
     )
-    summary = run_husimi(cfg, tmp_path)
+    table = run_husimi(cfg)
+    assert table.summary["grids"] == []  # filled in as the grids are written
+    (json_path,) = write_table(tmp_path, cfg.name, table)
+    assert json_path == tmp_path / f"{cfg.name}_husimi.json"
+    summary = table.summary
+    assert summary == json.loads(json_path.read_text())
     assert summary["grids"][0]["peak_count"] == 2
     assert abs(summary["n_max_estimate"] - 4.6294) < 1e-3
     for name in summary["grids"][0]["files"]:
         assert (tmp_path / name).exists()
 
 
-def test_run_husimi_requires_taus(tmp_path):
+def test_run_husimi_requires_taus():
     with pytest.raises(ConfigError):
-        run_husimi(small_config(), tmp_path)
+        run_husimi(small_config())
+
+
+def assert_written_as_summarized(out_dir, table):
+    summary = json.loads((out_dir / "h_husimi.json").read_text())
+    assert summary == table.summary
+    assert [entry["tau"] for entry in summary["grids"]] == [0.25, 0.5]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        ["h_husimi.json", *(name for entry in summary["grids"] for name in entry["files"])])
+
+
+def test_husimi_table_can_be_written_twice(tmp_path):
+    """Each write computes and records its own grids: the second directory
+    gets every file its JSON names, and the summary lists each tau once."""
+    table = run_husimi(small_config(husimi=sweep.HusimiSection(taus=(0.25, 0.5),
+                                                               resolution=11)))
+    for out_dir in (tmp_path / "a", tmp_path / "b"):
+        write_table(out_dir, "h", table)
+        assert_written_as_summarized(out_dir, table)
+    assert (tmp_path / "a" / "h_husimi.json").read_bytes() == \
+        (tmp_path / "b" / "h_husimi.json").read_bytes()
+
+
+def test_husimi_table_written_again_after_a_refusal(tmp_path, monkeypatch):
+    """A write refused at the second grid leaves nothing; writing the same
+    table again writes both grids and a summary that names them."""
+    real, calls = sweep.husimi_q, []
+
+    def refusing_second(state, **kwargs):
+        calls.append(state)
+        if len(calls) == 2:
+            raise InfeasibleScenarioError("the second map")
+        return real(state, **kwargs)
+
+    monkeypatch.setattr(sweep, "husimi_q", refusing_second)
+    table = run_husimi(small_config(husimi=sweep.HusimiSection(taus=(0.25, 0.5),
+                                                               resolution=11)))
+    with pytest.raises(InfeasibleScenarioError, match="the second map"):
+        write_table(tmp_path / "out", "h", table)
+    assert not (tmp_path / "out").exists()
+    write_table(tmp_path / "out", "h", table)
+    assert len(calls) == 4
+    assert_written_as_summarized(tmp_path / "out", table)
 
 
 # ---------------------------------------------------------------- batching
@@ -592,8 +639,8 @@ def test_tail_rule_runs_once_per_state(monkeypatch, tmp_path):
     scan = small_config(nu_grid=GridSpec(0.5, 1.0, 2), channel=ChannelSection(
         gamma_tau_grid=None, gamma_tau=0.3, m_values=(0, 1, 2)))
     assert passes(lambda: run_decoherence_scan(scan)) == 6
-    assert passes(lambda: run_husimi(small_config(
-        husimi=sweep.HusimiSection(taus=(0.25, 0.5), resolution=11)), tmp_path)) == 1
+    assert passes(lambda: write_table(tmp_path, "h", run_husimi(small_config(
+        husimi=sweep.HusimiSection(taus=(0.25, 0.5), resolution=11))))) == 1
     assert passes(lambda: build_initial_state(InitialStateSpec(nu=5.0, m=1))) == 1
 
 
@@ -671,18 +718,14 @@ def test_a_failed_block_leaves_the_queued_blocks_unrun(monkeypatch):
 
 def test_csv_is_deterministic(tmp_path):
     cfg = small_config(time_grid=GridSpec(0.0, 1.0, 21))
-    paths = []
-    for tag in ("a", "b"):
-        path = tmp_path / f"{tag}.csv"
-        write_table(path, run_entropy_curve(cfg))
-        paths.append(path)
+    paths = [write_table(tmp_path / tag, cfg.name, run_entropy_curve(cfg))[0]
+             for tag in ("a", "b")]
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_csv_layout(tmp_path):
     cfg = small_config(time_grid=GridSpec(0.0, 1.0, 11))
-    path = tmp_path / "out.csv"
-    write_table(path, run_entropy_curve(cfg))
+    path, _ = write_table(tmp_path, cfg.name, run_entropy_curve(cfg))
     lines = path.read_text().splitlines()
     meta_lines = [l for l in lines if l.startswith("# ")]
     assert any(l.startswith("# nu:") for l in meta_lines)
